@@ -1,0 +1,1 @@
+"""Witness benchmark (run ``python3 perfbench/run.py --help``)."""
