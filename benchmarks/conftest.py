@@ -57,40 +57,6 @@ def scale():
 
 
 @pytest.fixture(scope="session")
-def executor_mode(request) -> str:
-    """``"inline"`` or ``"shared"``: which plan executor the service-level
-    benchmarks should run against (``--executor`` / ``REPRO_BENCH_EXECUTOR``)."""
-    from repro.runtime.executor import EXECUTOR_MODES
-
-    option = request.config.getoption("--executor", default=None)
-    if option is not None:
-        return option
-    env = os.environ.get("REPRO_BENCH_EXECUTOR", "inline")
-    if env not in EXECUTOR_MODES:
-        raise ValueError(
-            f"REPRO_BENCH_EXECUTOR must be one of {EXECUTOR_MODES}, got {env!r}"
-        )
-    return env
-
-
-@pytest.fixture(scope="session")
-def inference_mode(request) -> str:
-    """``"frozen"`` or ``"training"``: which inference engine the
-    service-level benchmarks run (``--inference`` / ``REPRO_BENCH_INFERENCE``)."""
-    from repro.nn.infer import INFERENCE_MODES
-
-    option = request.config.getoption("--inference", default=None)
-    if option is not None:
-        return option
-    env = os.environ.get("REPRO_BENCH_INFERENCE", "frozen")
-    if env not in INFERENCE_MODES:
-        raise ValueError(
-            f"REPRO_BENCH_INFERENCE must be one of {INFERENCE_MODES}, got {env!r}"
-        )
-    return env
-
-
-@pytest.fixture(scope="session")
 def text_model():
     from repro.nn.zoo import get_text_model
 

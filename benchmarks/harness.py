@@ -10,22 +10,13 @@ Wraps the paper's two workloads:
   of filling out a form").
 * **Clickbench whole-screen validation** — pseudo-VSPEC validation of a
   screenshot pair with the graphics model only.
-* **Service throughput** — N guest sessions (sequential or genuinely
-  concurrent) through one shared :class:`WitnessService`, measured in
-  sessions per second.
-
-Every service-level workload takes an ``executor`` mode (``"inline"`` or
-``"shared"``), so the same benchmarks measure the in-thread path and the
-cross-session micro-batching runtime without code edits; the pytest
-``--executor`` option (see ``benchmarks/conftest.py``) selects it suite-
-wide.
 """
 
 from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.caches import DigestCache
 from repro.core.display import DisplayValidator
@@ -64,9 +55,7 @@ class FirstFrameResult:
         return self.text_forwards + self.image_forwards
 
 
-def jotform_first_frame(
-    seed: int, text_model, image_model, batched: bool, inference: str = "frozen"
-) -> FirstFrameResult:
+def jotform_first_frame(seed: int, text_model, image_model, batched: bool) -> FirstFrameResult:
     """Validate the first display frame of a generated form."""
     page = jotform_page(seed)
     vspec = build_vspec(copy.deepcopy(page), f"jf-{seed}")
@@ -76,12 +65,8 @@ def jotform_first_frame(
     browser.paint()
     frame = machine.sample_framebuffer().pixels
     cache = DigestCache()
-    text_verifier = TextVerifier(
-        text_model, batched=batched, cache=cache.scoped("text"), inference=inference
-    )
-    image_verifier = ImageVerifier(
-        image_model, batched=batched, cache=cache.scoped("image"), inference=inference
-    )
+    text_verifier = TextVerifier(text_model, batched=batched, cache=cache.scoped("text"))
+    image_verifier = ImageVerifier(image_model, batched=batched, cache=cache.scoped("image"))
     validator = DisplayValidator(vspec, text_verifier, image_verifier)
     t0 = time.perf_counter()
     result = validator.validate(frame)
@@ -112,17 +97,12 @@ def run_interactive_session(
     image_model,
     batched: bool,
     caching: bool = True,
-    executor: str = "inline",
-    inference: str = "frozen",
 ):
     """A full witnessed session on a generated form with an honest user.
 
     Runs through the service API: a fresh per-call :class:`WitnessService`
     (it shares the process-wide warm models) vending one session handle.
-    ``executor="shared"`` routes the session through the cross-session
-    micro-batching runtime; it presupposes plan batching, so unbatched
-    (CPU-setup) rows silently stay inline.  Returns
-    ``(decision, report, virtual_session_seconds)``.
+    Returns ``(decision, report, virtual_session_seconds)``.
     """
     from repro.core.service import WitnessConfig, WitnessService
 
@@ -135,13 +115,7 @@ def run_interactive_session(
     browser = Browser(machine, client_page, stack=stack_registry()[seed % len(stack_registry())])
     service = WitnessService(
         ca,
-        WitnessConfig(
-            batched=batched,
-            caching=caching,
-            sampler_seed=seed,
-            executor=executor if batched else "inline",
-            inference=inference,
-        ),
+        WitnessConfig(batched=batched, caching=caching, sampler_seed=seed),
         text_model=text_model,
         image_model=image_model,
     )
@@ -159,127 +133,6 @@ def run_interactive_session(
             session_seconds = machine.clock.now() / 1000.0
             decision = extension.end_session(body)
             return decision, witness.report, session_seconds
-
-
-@dataclass
-class FleetResult:
-    """Everything a fleet run produced, for throughput/forward accounting."""
-
-    decisions: list
-    reports: list
-    service: object
-    peak_active: int
-    wall_seconds: float
-    runtime_stats: dict = field(default_factory=dict)
-
-    @property
-    def certified(self) -> int:
-        return sum(bool(d.certified) for d in self.decisions)
-
-    @property
-    def total_forwards(self) -> int:
-        """Model forward passes the whole fleet actually executed.
-
-        Inline mode: each session's forwards are exclusively its own, so
-        the per-report counters sum exactly.  Shared mode: flushes are
-        co-owned by many sessions, so the authoritative count is the
-        runtime's global ``forwards_total`` (which includes any shed
-        inline fallbacks).
-        """
-        runtime = self.runtime_stats.get("runtime")
-        if runtime is not None:
-            return runtime["forwards_total"]
-        return sum(r.text_forwards + r.image_forwards for r in self.reports)
-
-    @property
-    def forwards_saved(self) -> int:
-        runtime = self.runtime_stats.get("runtime")
-        return runtime["forwards_saved_total"] if runtime is not None else 0
-
-
-def run_fleet_sessions(
-    n_sessions: int,
-    text_model,
-    image_model,
-    *,
-    threads: int = 1,
-    page_seeds=(0,),
-    batched: bool = True,
-    caching: bool = True,
-    executor: str = "inline",
-    concurrent_connect: bool = False,
-    config_overrides: dict | None = None,
-) -> FleetResult:
-    """A fleet of guest sessions through ONE shared :class:`WitnessService`.
-
-    Guest ``i`` renders the form of ``page_seeds[i % len(page_seeds)]``
-    (a mixed fleet re-validates more than one page); every session ends
-    with a certification decision, and the runtime-stats snapshot is
-    taken before the service closes.  Two arrival shapes:
-
-    * default — all sessions are opened up front on the caller's thread
-      (``peak_active`` is guaranteed to reach ``n_sessions``), then the
-      form fills are driven on up to ``threads`` worker threads;
-    * ``concurrent_connect=True`` — each guest's whole life (connect →
-      first-frame validation → fill → submit) runs on a worker thread,
-      the realistic arrival pattern, which is also where the shared
-      executor coalesces the expensive first-frame plans across guests.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.core.service import WitnessConfig
-    from repro.server.webserver import WitnessedSite
-
-    config = WitnessConfig(
-        batched=batched, caching=caching, executor=executor, **(config_overrides or {})
-    )
-    site = WitnessedSite(config=config, text_model=text_model, image_model=image_model)
-    for seed in dict.fromkeys(page_seeds):
-        site.register_page(f"jf-{seed}", jotform_page(seed))
-
-    def fill_and_submit(index, client):
-        user = HonestUser(client.browser, seed=index)
-        entries = sample_user_entries(client.browser.page, index)
-        fill_page_as_user(user, client.browser.page, entries)
-        return client.submit()
-
-    with site.service:
-        t0 = time.perf_counter()
-        if concurrent_connect and threads > 1:
-
-            def guest(index):
-                client = site.connect(
-                    f"jf-{page_seeds[index % len(page_seeds)]}", display=(640, 600)
-                )
-                return client, fill_and_submit(index, client)
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                pairs = list(pool.map(guest, range(n_sessions)))
-            clients = [client for client, _ in pairs]
-            decisions = [decision for _, decision in pairs]
-            peak = site.service.registry.peak_active
-        else:
-            clients = [
-                site.connect(f"jf-{page_seeds[i % len(page_seeds)]}", display=(640, 600))
-                for i in range(n_sessions)
-            ]
-            peak = site.service.registry.peak_active
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    decisions = list(
-                        pool.map(lambda pair: fill_and_submit(*pair), enumerate(clients))
-                    )
-            else:
-                decisions = [fill_and_submit(i, c) for i, c in enumerate(clients)]
-        wall = time.perf_counter() - t0
-        return FleetResult(
-            decisions=decisions,
-            reports=[client.witness.report for client in clients],
-            service=site.service,
-            peak_active=peak,
-            wall_seconds=wall,
-            runtime_stats=site.service.runtime_stats(),
-        )
 
 
 def summarize(values) -> dict:

@@ -3,16 +3,14 @@
 The paper's Table III measures model robustness under adversarial
 *inputs*; this companion measures pipeline robustness under injected
 *infrastructure* faults.  Every shipped :class:`repro.faults.FaultPlan`
-(frame drop/corruption, forward raise, NaN logits, flusher crash, flush
-stall, admission timeout, cache fault) replays the scenario grid under
-the shared-executor baseline and the fail-closed contract is asserted:
+(frame drop/corruption, forward raise, NaN logits, cache fault) replays
+the scenario grid under the ``batched-inline-frozen`` baseline and the
+fail-closed contract is asserted:
 
 * a tampered session NEVER certifies, under any plan (zero fail-open);
 * honest sessions under recoverable plans stay bit-identical to the
   fault-free run; under evidence-perturbing plans they still certify;
-  under corruption plans they refuse cleanly;
-* a flusher crash mid-fleet recovers (restarts == crashes) without
-  losing a session.
+  under corruption plans they refuse cleanly.
 
 Also measures the disarmed-seam overhead: an armed injector's miss on a
 cold point (the per-frame cost every seam pays when its point is not
@@ -58,10 +56,7 @@ def test_fault_soak_fail_closed(scale, text_model, image_model):
     from repro.faults import shipped_plans
     from repro.scenarios import combo_by_name, run_soak
 
-    # Runtime seams (flusher crash, flush stall, admission timeout) only
-    # exist under the shared executor, so the fault soak pins its
-    # baseline there regardless of the suite-wide --executor knob.
-    combo = combo_by_name("batched-shared-frozen")
+    combo = combo_by_name("batched-inline-frozen")
     plans = shipped_plans()
     result = run_soak(
         _fault_specs(scale),
@@ -77,16 +72,14 @@ def test_fault_soak_fail_closed(scale, text_model, image_model):
         "Table III companion — fail-closed robustness under injected faults",
         "",
         f"{'plan':<20} {'expect':<10} {'fired':>5} {'sessions':>8} "
-        f"{'certified':>9} {'refused':>7} {'crashes':>7} {'restarts':>8} {'degraded':>8}",
+        f"{'certified':>9} {'refused':>7} {'quarantined':>11}",
     ]
     for plan in plans:
         stats = result.fault_stats[plan.name]
-        health = stats["health"]
         rows.append(
             f"{plan.name:<20} {stats['expectation']:<10} {stats['faults_injected']:>5} "
             f"{stats['sessions']:>8} {stats['certified']:>9} {stats['refused']:>7} "
-            f"{health.get('flusher_crashes', 0):>7} {health.get('flusher_restarts', 0):>8} "
-            f"{health.get('degraded_forwards', 0):>8}"
+            f"{stats['health']['quarantined_sessions']:>11}"
         )
     rows += [
         "",
@@ -96,7 +89,7 @@ def test_fault_soak_fail_closed(scale, text_model, image_model):
         "",
         "Contract: tampered sessions never certify under any plan; recoverable",
         "plans leave honest fingerprints bit-identical; corruption plans refuse",
-        "cleanly; a crashed flusher restarts without losing a waiting session.",
+        "cleanly.",
     ]
     content = "\n".join(rows + [f"  FAULT-FAILURE {s} under {p}: {d}" for p, s, d in result.fault_failures])
     record_result("table3_robustness_faults", content)
@@ -108,10 +101,7 @@ def test_fault_soak_fail_closed(scale, text_model, image_model):
             "sessions": stats["sessions"],
             "certified": stats["certified"],
             "refused": stats["refused"],
-            "recoveries": stats["health"].get("flusher_restarts", 0),
-            "degraded_forwards": stats["health"].get("degraded_forwards", 0),
-            "admission_timeouts": stats["health"].get("admission_timeouts", 0),
-            "quarantined_sessions": stats["health"].get("quarantined_sessions", 0),
+            "quarantined_sessions": stats["health"]["quarantined_sessions"],
         }
         for plan, stats in ((p, result.fault_stats[p.name]) for p in plans)
     }
@@ -137,12 +127,11 @@ def test_fault_soak_fail_closed(scale, text_model, image_model):
     assert result.ok, result.summary()
     assert not result.fault_failures, result.summary()
     assert set(result.fault_stats) == {p.name for p in plans}
-    crash = result.fault_stats["flusher-crash"]
-    assert crash["faults_injected"] == 2
-    assert crash["health"]["flusher_restarts"] == crash["health"]["flusher_crashes"] >= 2
+    # The recoverable plans really fire: the retry and the cache-miss
+    # fallback are exercised, not skipped.
+    assert result.fault_stats["forward-raise"]["faults_injected"] == 1
+    assert result.fault_stats["cache-fault"]["faults_injected"] >= 1
     for refusing in ("frame-corruption", "nan-logits"):
         stats = result.fault_stats[refusing]
         assert stats["certified"] == 0 and stats["refused"] >= 1, refusing
     assert result.fault_stats["frame-drop"]["certified"] >= 1
-    assert result.fault_stats["flush-stall"]["health"]["degraded_forwards"] >= 1
-    assert result.fault_stats["admission-timeout"]["health"]["admission_timeouts"] >= 1

@@ -17,7 +17,7 @@ from repro.nn.infer import frozen_twin
 from repro.raster.fonts import font_registry
 from repro.raster.stacks import stack_registry
 
-#: Timing batch (a typical coalesced micro-batch / chunked plan round).
+#: Timing batch (a typical chunked plan round).
 BATCH = 256
 
 #: Median-of-k timing: robust to load spikes on shared CI machines.

@@ -1,9 +1,9 @@
 """witness-san overhead: soak sessions/sec with the sanitizer on vs off.
 
-Drives the same soak slice twice through the shared-executor baseline
-combo — once disarmed, once with :mod:`repro.analysis.sanitizer` armed —
-and records both rates plus the relative overhead into
-``bench_summary.json``.  The armed run must stay clean (no lock-order
+Drives the same soak slice twice through the ``batched-inline-frozen``
+baseline combo on two threads — once disarmed, once with
+:mod:`repro.analysis.sanitizer` armed — and records both rates plus the
+relative overhead into ``bench_summary.json``.  The armed run must stay clean (no lock-order
 inversions, no unmodeled edges, no cross-thread pool checkouts against
 the static model) and change nothing observable: same session, frame,
 and certification counts as the disarmed run.  The bit-identical
@@ -37,12 +37,12 @@ def _disarmed_reserve_ns(iters: int = 20000) -> float:
 
 def test_sanitizer_overhead(scale, text_model, image_model):
     from repro.analysis import sanitizer
-    from repro.scenarios import baseline_combo, default_soak_specs, run_soak
+    from repro.scenarios import combo_by_name, default_soak_specs, run_soak
 
     specs = default_soak_specs()
     if scale["name"] != "paper":
         specs = specs[:4]
-    baseline = baseline_combo("shared", "frozen")
+    baseline = combo_by_name("batched-inline-frozen")
 
     def drive():
         return run_soak(
@@ -67,7 +67,7 @@ def test_sanitizer_overhead(scale, text_model, image_model):
 
     content = "\n".join(
         [
-            "witness-san overhead (shared/frozen baseline, 2 driver threads)",
+            "witness-san overhead (batched-inline-frozen baseline, 2 threads)",
             f"scenarios: {off.scenarios}  sessions: {off.sessions_total}",
             f"sessions/s disarmed: {off_sps:.2f}   armed: {on_sps:.2f}   "
             f"overhead: {overhead_pct:+.1f}%",

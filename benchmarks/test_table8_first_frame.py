@@ -9,7 +9,7 @@ from benchmarks.conftest import record_metrics, record_result
 from benchmarks.harness import jotform_first_frame, summarize
 
 
-def _clickbench_times(scale, image_model, batched: bool, inference: str):
+def _clickbench_times(scale, image_model, batched: bool):
     import gc
     import time
 
@@ -22,15 +22,10 @@ def _clickbench_times(scale, image_model, batched: bool, inference: str):
     # buffer-allocation costs that dwarf steady-state validation when the
     # heap is churned by earlier suite activity; Table VIII measures the
     # latter.
-    validate_sample(
-        samples[0],
-        ImageVerifier(image_model, batched=batched, cache=DigestCache(), inference=inference),
-    )
+    validate_sample(samples[0], ImageVerifier(image_model, batched=batched, cache=DigestCache()))
     times = []
     for sample in samples:
-        verifier = ImageVerifier(
-            image_model, batched=batched, cache=DigestCache(), inference=inference
-        )
+        verifier = ImageVerifier(image_model, batched=batched, cache=DigestCache())
         # Collect before every timed sample: a GC pause inherited from
         # earlier suite activity landing inside one measurement skews the
         # per-sample mean far more than steady-state validation varies.
@@ -41,16 +36,14 @@ def _clickbench_times(scale, image_model, batched: bool, inference: str):
     return times
 
 
-def test_table8_first_frame_times(benchmark, scale, text_model, image_model, inference_mode):
+def test_table8_first_frame_times(benchmark, scale, text_model, image_model):
     plan_stats = {}
 
     def run():
         out = {}
         for label, batched in (("CPU", False), ("GPU", True)):
             jot = [
-                jotform_first_frame(
-                    seed, text_model, image_model, batched=batched, inference=inference_mode
-                )
+                jotform_first_frame(seed, text_model, image_model, batched=batched)
                 for seed in range(scale["perf_pages"])
             ]
             out[(label, "Jotform")] = summarize(r.seconds for r in jot)
@@ -59,7 +52,7 @@ def test_table8_first_frame_times(benchmark, scale, text_model, image_model, inf
                 "forwards": summarize(r.forwards for r in jot),
             }
             out[(label, "Clickbench")] = summarize(
-                _clickbench_times(scale, image_model, batched, inference_mode)
+                _clickbench_times(scale, image_model, batched)
             )
         return out
 
@@ -67,7 +60,6 @@ def test_table8_first_frame_times(benchmark, scale, text_model, image_model, inf
 
     lines = [
         "Table VIII — T(frame0): first display frame validation time (s)",
-        f"(inference={inference_mode})",
         "",
         f"{'Setup':<6} {'Dataset':<12} {'Mean':>8} {'Max':>8} {'Min':>8} {'Stdev':>8}",
     ]
@@ -104,7 +96,6 @@ def test_table8_first_frame_times(benchmark, scale, text_model, image_model, inf
     record_metrics(
         "table8_first_frame",
         {
-            "inference": inference_mode,
             "jotform_mean_s": {"cpu": round(cpu_jf, 4), "gpu": round(gpu_jf, 4)},
             "clickbench_mean_s": {"cpu": round(cpu_cb, 4), "gpu": round(gpu_cb, 4)},
             "forwards_per_frame": {

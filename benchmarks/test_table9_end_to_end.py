@@ -12,9 +12,7 @@ from benchmarks.conftest import record_metrics, record_result
 from benchmarks.harness import run_interactive_session, summarize
 
 
-def test_table9_end_to_end(
-    benchmark, scale, text_model, image_model, executor_mode, inference_mode
-):
+def test_table9_end_to_end(benchmark, scale, text_model, image_model):
     def run():
         out = {}
         for label, batched in (("CPU", False), ("GPU", True)):
@@ -23,8 +21,7 @@ def test_table9_end_to_end(
             certified = 0
             for seed in range(scale["perf_pages"]):
                 decision, report, _session = run_interactive_session(
-                    seed, text_model, image_model, batched=batched,
-                    executor=executor_mode, inference=inference_mode,
+                    seed, text_model, image_model, batched=batched
                 )
                 certified += bool(decision.certified)
                 timing = report.timing
@@ -49,7 +46,6 @@ def test_table9_end_to_end(
 
     lines = [
         "Table IX — end-to-end performance (s)",
-        f"(executor={executor_mode}; inference={inference_mode})",
         "",
         f"{'Setup':<6} {'Init+First':>11} {'Sub.Mean':>9} {'Sub.Max':>8} {'Sub.Min':>8} "
         f"{'Sub.Stdev':>9} {'Valid.fn':>9}",
@@ -85,8 +81,6 @@ def test_table9_end_to_end(
     record_metrics(
         "table9_end_to_end",
         {
-            "executor": executor_mode,
-            "inference": inference_mode,
             "init_first_s": {
                 "cpu": round(stats["CPU"]["init_first"], 4),
                 "gpu": round(stats["GPU"]["init_first"], 4),

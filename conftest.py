@@ -1,22 +1,11 @@
 """Repo-level pytest configuration.
 
-Registers the ``--executor`` option here (the rootdir conftest is the
-only place option registration is guaranteed to load from, whatever
-subset of the tree is being run) so the service-level benchmarks can be
-pointed at the cross-session micro-batching runtime without code edits:
-
-    pytest benchmarks/test_service_throughput.py --executor=shared
-
-``REPRO_BENCH_EXECUTOR`` is the environment equivalent for CI matrices;
-the command-line option wins when both are set (resolution lives in the
-``executor_mode`` fixture of ``benchmarks/conftest.py``).
-
 ``REPRO_WITNESS_SAN=1`` arms witness-san (the runtime lock-order and
 pool-confinement sanitizer, :mod:`repro.analysis.sanitizer`) for the
 whole pytest session: every lock ordering and pooled checkout the run
 performs is recorded and cross-checked against the static model at
 teardown — an inversion, an unmodeled edge, or a cross-thread pool
-access fails the session.  The CI ``sanitizer`` job runs the runtime
+access fails the session.  The CI ``sanitizer`` job runs the service
 and pool suites this way.
 """
 
@@ -46,26 +35,3 @@ def _witness_san():
         f"{summary['pool_checks']} pool checkouts):\n" + "\n".join(problems)
     )
 
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--executor",
-        choices=("inline", "shared"),
-        default=None,
-        help=(
-            "Plan-execution mode for service-level benchmarks: 'inline' "
-            "(per-session, the default) or 'shared' (cross-session "
-            "micro-batching runtime)."
-        ),
-    )
-    parser.addoption(
-        "--inference",
-        choices=("frozen", "training"),
-        default=None,
-        help=(
-            "Inference engine for service-level benchmarks: 'frozen' "
-            "(compiled fused forward paths, the default) or 'training' "
-            "(the layer-by-layer Sequential forward). "
-            "REPRO_BENCH_INFERENCE is the environment equivalent."
-        ),
-    )

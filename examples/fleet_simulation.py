@@ -1,13 +1,14 @@
 #!/usr/bin/env python
-"""Fleet simulation: a mixed crowd of guests through the shared runtime.
+"""Fleet simulation: a mixed crowd of concurrent guests, one service.
 
-One :class:`WitnessService` in ``executor="shared"`` mode witnesses a
-whole fleet at once: honest guests filling three different forms, one
-guest whose display is tampered mid-session, and one guest that abandons
-without submitting.  Every session's validation rounds coalesce in the
-cross-session micro-batching runtime, so the fleet costs far fewer model
-forwards than the guests would individually — and the tampered guest
-still fails alone, because batching shares *execution*, never verdicts.
+One :class:`WitnessService` witnesses a whole fleet at once: honest
+guests filling three different forms, one guest whose display is
+tampered mid-session, and one guest that abandons without submitting.
+Each guest runs on its own thread and its session validates inline on
+that thread; the guests share the service's models and digest cache, so
+repeated glyphs and regions across the fleet are verified once — and
+the tampered guest still fails alone, because the cache shares verdicts
+of identical unit inputs only.
 
 Run:  python examples/fleet_simulation.py
 """
@@ -66,15 +67,7 @@ def drive_guest(index, client):
 
 
 def main() -> None:
-    config = WitnessConfig(
-        batched=True,
-        executor="shared",
-        runtime_max_batch_units=256,
-        runtime_flush_deadline_ms=2.0,
-        runtime_max_inflight_units=8192,
-        runtime_admission="block",
-    )
-    site = WitnessedSite(config=config)
+    site = WitnessedSite(config=WitnessConfig(batched=True))
     for seed in FORMS:
         site.register_page(f"form-{seed}", jotform_page(seed))
 
@@ -95,21 +88,13 @@ def main() -> None:
             )
             print(f"  guest {index:>2} [{scenario:<9}] {verdict}")
 
-        stats = service.runtime_stats()
-        runtime = stats["runtime"]
-        counters = runtime["counters"]
-        occupancy = runtime["histograms"]["batch_occupancy.text"]
+        stats = service.stats()
+        forwards = sum(
+            c.witness.report.text_forwards + c.witness.report.image_forwards for c in clients
+        )
         print(f"\nsessions         : {stats['sessions']}")
         print(f"cache hit rate   : {stats['cache_hit_rate']:.1%}")
-        print(
-            f"runtime          : {counters.get('submissions_total.text', 0)} text rounds "
-            f"coalesced into {counters.get('flushes_total.text', 0)} flushes "
-            f"(mean occupancy {occupancy['mean']:.1f} units)"
-        )
-        print(
-            f"forwards         : {runtime['forwards_total']} executed, "
-            f"{runtime['forwards_saved_total']} saved by cross-session batching"
-        )
+        print(f"forwards         : {forwards} model forwards across the fleet")
 
     certified = sum(
         1 for _, _, decision in outcomes if decision is not None and decision.certified
@@ -117,9 +102,14 @@ def main() -> None:
     refused = sum(
         1 for _, _, decision in outcomes if decision is not None and not decision.certified
     )
+    abandoned = sum(1 for _, _, decision in outcomes if decision is None)
     assert refused == 1, "exactly the tampered guest must be refused"
     assert certified == GUESTS - 2, "every honest, submitting guest certifies"
-    print(f"\n{certified} honest guests certified, {refused} tampered guest refused.")
+    assert abandoned == 1, "the abandoning guest reaches no decision"
+    print(
+        f"\n{certified} honest guests certified, {refused} tampered guest refused, "
+        f"{abandoned} guest abandoned."
+    )
 
 
 if __name__ == "__main__":

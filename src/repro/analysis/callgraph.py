@@ -201,7 +201,7 @@ class CallGraph:
 
     def _type_of_value(self, module, value) -> str | None:
         """Resolved constructor type of an ``self.x = <value>`` RHS."""
-        if isinstance(value, ast.BoolOp):  # `metrics or RuntimeMetrics()`
+        if isinstance(value, ast.BoolOp):  # `metrics or MetricsRegistry()`
             for operand in value.values:
                 t = self._type_of_value(module, operand)
                 if t is not None:

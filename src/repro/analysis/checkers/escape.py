@@ -19,9 +19,8 @@ Taint starts at ``thread_pool()`` results (``.reserve`` on them) and at
 ``reshape``/``view``); ``.copy()`` launders it, which is exactly the
 documented way to keep a row.  Plain returns are *not* findings —
 returning a pooled view to a same-thread caller is the transport
-pattern itself (``MicroBatcher._gather``) — and plan-owned pools
-(``self.buffers.reserve``) are their owner's to stash; the runtime
-sanitizer twin covers the dynamic remainder (any cross-thread access,
+pattern itself — and plan-owned pools (``self.buffers.reserve``) are
+their owner's to stash; the sanitizer twin covers the dynamic remainder (any cross-thread access,
 however the reference traveled).
 """
 

@@ -8,7 +8,7 @@ still returns the right numbers, just slower and GC-churnier).  The
 ``hot-alloc`` rule pins it:
 
     Inside any function carrying ``@repro.analysis.hot_path`` (or pinned
-    by config — the frozen stage executors and the runtime flush path),
+    by config — the frozen stage executors and the resampler),
     no array-allocating call is allowed: constructors (``np.zeros`` &
     co), copying converters (``ascontiguousarray``, ``.copy()``,
     ``.astype()``), concatenation builders, and whole-array ufunc-style

@@ -97,7 +97,6 @@ DETERMINISM_SCOPE = (
     "repro.faults",
     "repro.nn",
     "repro.raster",
-    "repro.runtime",
     "repro.scenarios",
     "repro.server",
     "repro.vision",
@@ -109,10 +108,10 @@ DETERMINISM_SCOPE = (
 #: claiming its shared state is guarded.
 LOCK_SCOPE = ("repro",)
 
-#: Hot-path allocation discipline: the frozen engine, the runtime's
-#: flush path, and — since PR 7's zero-copy plan transport — the core
-#: collect pass and the vision resampler it writes through (everywhere
-#: arenas/pooled buffers promise allocation-free steady state).
+#: Hot-path allocation discipline: the frozen engine and — since the
+#: zero-copy plan transport — the core collect pass and the vision
+#: resampler it writes through (everywhere arenas/pooled buffers promise
+#: allocation-free steady state).
 #: ``repro.obs`` joins for the tracer fast path: ``maybe_span`` and
 #: ``SpanTracer.span`` sit inside every frame, so disabled tracing must
 #: stay statically allocation-free (obs stays OUT of the determinism
@@ -124,7 +123,6 @@ HOTPATH_SCOPE = (
     "repro.faults",
     "repro.nn",
     "repro.obs",
-    "repro.runtime",
     "repro.vision",
 )
 
@@ -134,14 +132,14 @@ LIFECYCLE_SCOPE = ("repro",)
 
 #: Interprocedural concurrency rules (lock-order cycles, blocking under
 #: a held lock) apply tree-wide: the lock graph spans packages — the
-#: runtime's conditions nest through metrics calls, the zoo's registry
-#: lock nests over the frozen-twin lock — so no package is exempt.
+#: zoo's registry lock nests over the frozen-twin lock — so no package
+#: is exempt.
 CONC_SCOPE = ("repro",)
 
 #: Thread-confinement escape discipline: everywhere pooled transport
 #: buffers (``planbuf.thread_pool``) and frozen-engine workspace arenas
 #: circulate.
-ESCAPE_SCOPE = ("repro.core", "repro.nn", "repro.runtime", "repro.vision")
+ESCAPE_SCOPE = ("repro.core", "repro.nn", "repro.vision")
 
 #: Calls whose result is a thread-confined buffer pool: rows reserved
 #: from one must never outlive the frame or cross a thread boundary.
@@ -149,23 +147,17 @@ POOL_FACTORIES = ("repro.core.planbuf.thread_pool",)
 
 #: The audited lock-order ledger (CONTRIBUTING "lock discipline").  The
 #: call-graph pass infers most ordering edges; orderings it cannot see —
-#: lock objects aliased across classes (RuntimeMetrics hands its
-#: ``_data_lock`` to every instrument, so instrument acquisitions are
-#: ``_data_lock`` acquisitions at runtime), chains through stored
+#: lock objects aliased across classes (MetricsRegistry hands its
+#: ``_data_lock`` to every histogram, so histogram acquisitions are
+#: ``_data_lock`` acquisitions at run time), chains through stored
 #: callables — are declared here so they join the static model the
-#: runtime sanitizer cross-checks.  Node ids follow
+#: sanitizer cross-checks.  Node ids follow
 #: :mod:`repro.analysis.callgraph` (``module.Class.attr`` /
 #: ``module.NAME``).
 DECLARED_LOCK_ORDER = (
-    # Batcher/gate conditions are held while metrics instruments record:
-    # registration takes _registry_lock, the instrument write takes the
-    # shared _data_lock.  Audited one-way — metrics code never calls
-    # back into the runtime, so no cycle can close.
-    ("repro.runtime.batcher.MicroBatcher._cond", "repro.runtime.metrics.RuntimeMetrics._registry_lock"),
-    ("repro.runtime.batcher.MicroBatcher._cond", "repro.runtime.metrics.RuntimeMetrics._data_lock"),
-    ("repro.runtime.backpressure.AdmissionGate._cond", "repro.runtime.metrics.RuntimeMetrics._registry_lock"),
-    ("repro.runtime.backpressure.AdmissionGate._cond", "repro.runtime.metrics.RuntimeMetrics._data_lock"),
-    ("repro.runtime.metrics.RuntimeMetrics._registry_lock", "repro.runtime.metrics.RuntimeMetrics._data_lock"),
+    # Span histograms: registration takes _registry_lock, the histogram
+    # write takes the shared _data_lock.  Audited one-way.
+    ("repro.obs.metrics.MetricsRegistry._registry_lock", "repro.obs.metrics.MetricsRegistry._data_lock"),
     # The zoo builds each model exactly once under its registry lock;
     # vending the frozen twin nests the twin-memo lock inside it.
     ("repro.nn.zoo._REGISTRY_LOCK", "repro.nn.infer._TWIN_LOCK"),
@@ -198,11 +190,9 @@ class AnalysisConfig:
         "repro.nn.infer:_DenseStage.run",
         "repro.nn.infer:_ReLUStage.run",
         "repro.nn.infer:FrozenNet._run",
-        "repro.runtime.batcher:MicroBatcher._execute",
-        # PR 7 zero-copy plan transport: the buffer-writing flush/gather
-        # and resample paths stay allocation-free (the collect-side
-        # writers in repro.core.verifiers carry @hot_path directly).
-        "repro.runtime.batcher:MicroBatcher._gather",
+        # Zero-copy plan transport: the resample path stays
+        # allocation-free (the collect-side writers in
+        # repro.core.verifiers carry @hot_path directly).
         "repro.vision.ops:resize_bilinear",
     )
 

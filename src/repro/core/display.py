@@ -89,7 +89,6 @@ class DisplayValidator:
         image_verifier: ImageVerifier,
         pof_style: POFStyle = DEFAULT_POF,
         check_background: bool = True,
-        runtime=None,
         tracer=None,
     ) -> None:
         self.vspec = vspec
@@ -97,11 +96,6 @@ class DisplayValidator:
         self.image_verifier = image_verifier
         self.pof_style = pof_style
         self.check_background = check_background
-        #: Shared :class:`~repro.runtime.executor.ValidationExecutor`;
-        #: when set, the execute phase overlaps the text and image plans
-        #: on the runtime (and the verifiers coalesce their forwards with
-        #: every other session's rounds).
-        self.runtime = runtime
         #: Optional :class:`repro.obs.spans.SpanTracer` timing the
         #: collect/execute/scatter phases; ``None`` = no-op fast path.
         self.tracer = tracer
@@ -283,17 +277,10 @@ class DisplayValidator:
         result.entries_checked = len(entries)
 
         # Phase 2 (execute): one vectorized forward per model kind (plus
-        # batched alignment-retry rings), then scatter.  On a shared
-        # runtime the two kinds execute concurrently and their forwards
-        # coalesce with concurrent sessions' rounds.
+        # batched alignment-retry rings), then scatter.
         with maybe_span(self.tracer, "plan.execute"):
-            if self.runtime is not None:
-                text_verdicts, image_verdicts = self.runtime.execute_plan(
-                    plan, self.text_verifier, self.image_verifier
-                )
-            else:
-                text_verdicts = self.text_verifier.execute_plan(plan)
-                image_verdicts = self.image_verifier.execute_plan(plan)
+            text_verdicts = self.text_verifier.execute_plan(plan)
+            image_verdicts = self.image_verifier.execute_plan(plan)
         with maybe_span(self.tracer, "verdict.scatter"):
             for emit in deferred:
                 emit(result, text_verdicts, image_verdicts)

@@ -3,12 +3,11 @@
 PR 4's frozen engine made the *forward* allocation-free via per-shape
 :class:`~repro.nn.infer.Workspace` arenas, but everything upstream still
 materialized a fresh ndarray per unit input: the collect pass built
-Python lists of per-cell crops, the verifiers re-stacked them per chunk,
-and the runtime flush re-gathered them with ``np.concatenate``.  This
-module extends the same arena discipline upstream of the forward:
+Python lists of per-cell crops and the verifiers re-stacked them per
+chunk.  This module extends the same arena discipline upstream of the forward:
 
 * :class:`PlanBuffers` is one owner's pool of capacity-grown transport
-  buffers keyed by role (``"text-tiles"``, ``"image-obs"``, flush
+  buffers keyed by role (``"text-tiles"``, ``"image-obs"``, pending
   gathers, retry rings).  A buffer is allocated once, grows
   geometrically when a frame needs more rows, and is reused verbatim for
   every subsequent frame — steady-state validation writes crops straight
@@ -16,18 +15,17 @@ module extends the same arena discipline upstream of the forward:
 * Pools are **thread-confined by ownership**, exactly like the frozen
   engine's arenas: a :class:`~repro.core.verifiers.ValidationPlan` owns
   the pool its session thread collects into, while execute-side scratch
-  (pending gathers, one-hot rows, retry rings, the micro-batcher's flush
-  buffers) comes from :func:`thread_pool` — a thread-local pool, so a
-  flusher thread and each session thread each write into their own
-  memory and no buffer is ever shared across concurrently-running
-  threads.
+  (pending gathers, one-hot rows, retry rings) comes from
+  :func:`thread_pool` — a thread-local pool, so each session thread
+  writes into its own memory and no buffer is ever shared across
+  concurrently-running threads.
 * Pools are **LRU-bounded** by distinct buffer key (``max_shapes``,
   mirroring :data:`repro.nn.infer.DEFAULT_MAX_SHAPES` semantics), so a
   long-lived thread that sees many one-off shapes cannot accumulate
   unbounded buffer memory.
 
 The zero-copy guarantee is enforced statically: witness-lint's
-``hot-alloc`` rule pins the buffer-writing collect and flush functions
+``hot-alloc`` rule pins the buffer-writing collect functions
 (see ``AnalysisConfig.hot_functions``), and :meth:`PlanBuffers.reserve`
 is their designated allocation point.
 """

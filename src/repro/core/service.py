@@ -44,12 +44,8 @@ from repro.core.submission import CertificationDecision, SubmissionValidator
 from repro.core.timing import SessionTiming
 from repro.core.verifiers import ImageVerifier, TextVerifier
 from repro.crypto.ca import CertificateAuthority
-from repro.faults import FaultInjector, FaultPlan
-from repro.nn.infer import INFERENCE_MODES
+from repro.faults import FaultInjector, FaultPlan, RuntimeFaultError
 from repro.obs.spans import maybe_span
-from repro.runtime.backpressure import POLICIES
-from repro.runtime.errors import RuntimeFaultError
-from repro.runtime.executor import EXECUTOR_MODES, ValidationExecutor
 from repro.crypto.keys import MeasuredState, SealedSigningKey, generate_signing_key
 from repro.vision.components import Rect
 from repro.vspec.spec import VSpec
@@ -95,31 +91,6 @@ class WitnessConfig:
     pof_style: POFStyle = DEFAULT_POF
     check_background: bool = True
     subject: str = "client-1"
-    #: Plan execution strategy.  ``"inline"`` runs each session's plans on
-    #: the calling thread (the original path); ``"shared"`` routes model
-    #: forwards through the service's cross-session
-    #: :class:`~repro.runtime.executor.ValidationExecutor`, coalescing
-    #: concurrent sessions' rounds into global micro-batches.  Shared
-    #: execution presupposes plan batching (``batched=True``).
-    executor: str = "inline"
-    #: Shared-runtime knobs (ignored under ``executor="inline"``): flush a
-    #: micro-batch at this many pending units or after this deadline,
-    #: whichever first; bound admitted-but-unfinished units (``None`` =
-    #: unbounded) with ``"block"`` or ``"shed"`` overload handling; size
-    #: of the worker pool that overlaps text/image plan execution.
-    runtime_max_batch_units: int = 256
-    runtime_flush_deadline_ms: float = 2.0
-    runtime_max_inflight_units: int | None = 8192
-    runtime_admission: str = "block"
-    runtime_workers: int = 8
-    #: Which executable runs the model forwards (orthogonal to ``batched``
-    #: and ``executor``, which decide how unit inputs are *grouped*):
-    #: ``"frozen"`` (default) compiles each trained matcher once into its
-    #: fused, allocation-free float32 twin (:mod:`repro.nn.infer`);
-    #: ``"training"`` keeps the layer-by-layer ``Sequential`` forward.
-    #: Decisions are identical either way — the knob exists so every
-    #: benchmark can A/B the inference engine.
-    inference: str = "frozen"
     #: Frame-span tracing (:mod:`repro.obs`).  Off by default: disabled
     #: tracing costs one ``is None`` test per span site and zero
     #: allocations.  Enabled, every sampled frame is timed stage by stage
@@ -142,50 +113,15 @@ class WitnessConfig:
     #: fail-closed ladder: recoverable faults degrade and retry,
     #: unrecoverable ones become violations and refusals.
     faults: FaultPlan | None = None
-    #: Unrecoverable runtime faults a session tolerates (each already a
+    #: Unrecoverable validation faults a session tolerates (each already a
     #: refusal-causing violation) before it is quarantined: sampling
     #: stops and the session can only refuse to certify.
     max_session_faults: int = 3
-    #: How long a shared-runtime submission waits on its flush before the
-    #: executor degrades it to an inline forward.
-    runtime_submit_timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
         if self.predict_chunk is not None and self.predict_chunk < 1:
             raise ValueError(
                 f"predict_chunk must be None (unchunked) or >= 1, got {self.predict_chunk}"
-            )
-        if self.executor not in EXECUTOR_MODES:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_MODES}, got {self.executor!r}"
-            )
-        if self.executor == "shared" and not self.batched:
-            raise ValueError(
-                "executor='shared' coalesces vectorized rounds across sessions and "
-                "therefore requires batched=True"
-            )
-        if self.runtime_max_batch_units < 1:
-            raise ValueError(
-                f"runtime_max_batch_units must be >= 1, got {self.runtime_max_batch_units}"
-            )
-        if self.runtime_flush_deadline_ms < 0:
-            raise ValueError(
-                f"runtime_flush_deadline_ms must be >= 0, got {self.runtime_flush_deadline_ms}"
-            )
-        if self.runtime_max_inflight_units is not None and self.runtime_max_inflight_units < 1:
-            raise ValueError(
-                "runtime_max_inflight_units must be None (unbounded) or >= 1, "
-                f"got {self.runtime_max_inflight_units}"
-            )
-        if self.runtime_admission not in POLICIES:
-            raise ValueError(
-                f"runtime_admission must be one of {POLICIES}, got {self.runtime_admission!r}"
-            )
-        if self.runtime_workers < 1:
-            raise ValueError(f"runtime_workers must be >= 1, got {self.runtime_workers}")
-        if self.inference not in INFERENCE_MODES:
-            raise ValueError(
-                f"inference must be one of {INFERENCE_MODES}, got {self.inference!r}"
             )
         if self.flight_frames < 1:
             raise ValueError(f"flight_frames must be >= 1, got {self.flight_frames}")
@@ -196,10 +132,6 @@ class WitnessConfig:
         if self.max_session_faults < 1:
             raise ValueError(
                 f"max_session_faults must be >= 1, got {self.max_session_faults}"
-            )
-        if self.runtime_submit_timeout_s <= 0:
-            raise ValueError(
-                f"runtime_submit_timeout_s must be positive, got {self.runtime_submit_timeout_s}"
             )
 
     def replace(self, **overrides) -> "WitnessConfig":
@@ -415,11 +347,6 @@ class WitnessService:
         self._quarantined_sessions = 0
         self.registry = SessionRegistry()
         self._hooks: dict = {"frame": [], "violation": [], "decision": []}
-        # The cross-session validation runtime: created lazily on the
-        # first session that asks for shared execution (inline-only
-        # services never pay for its threads).
-        self._runtime: ValidationExecutor | None = None
-        self._runtime_lock = threading.Lock()
         # Observability state (repro.obs): span histograms and the flight
         # ring are created lazily by the first traced session, so
         # tracing-off services carry two None attributes and nothing else.
@@ -495,39 +422,6 @@ class WitnessService:
     def active_sessions(self) -> int:
         return self.registry.active_count
 
-    # -- validation runtime --------------------------------------------------
-
-    def session_runtime(self, cfg: WitnessConfig) -> ValidationExecutor | None:
-        """The shared executor for a session under ``cfg`` (or ``None``).
-
-        All shared-mode sessions of a service coalesce in *one* runtime;
-        its knobs come from the first config that asks for it (normally
-        the service config).
-        """
-        if cfg.executor != "shared":
-            return None
-        with self._runtime_lock:
-            if self._runtime is None or self._runtime.closed:
-                self._runtime = ValidationExecutor(
-                    self.text_model,
-                    self.image_model,
-                    max_batch_units=cfg.runtime_max_batch_units,
-                    flush_deadline_ms=cfg.runtime_flush_deadline_ms,
-                    chunk_size=cfg.predict_chunk,
-                    max_inflight_units=cfg.runtime_max_inflight_units,
-                    admission=cfg.runtime_admission,
-                    workers=cfg.runtime_workers,
-                    submit_timeout=cfg.runtime_submit_timeout_s,
-                    inference=cfg.inference,
-                    faults=self.fault_injector,
-                )
-            return self._runtime
-
-    @property
-    def runtime(self) -> ValidationExecutor | None:
-        """The shared executor, if any session has instantiated it."""
-        return self._runtime
-
     # -- health & degradation ------------------------------------------------
 
     def _note_quarantine(self) -> None:
@@ -537,48 +431,33 @@ class WitnessService:
     def health(self) -> dict:
         """The service's degradation-ladder state, one JSON-able dict.
 
-        Merges the shared runtime's :class:`~repro.runtime.health.HealthTracker`
-        snapshot (``{"state": "healthy"}`` for inline-only services) with
-        session-quarantine accounting and the fault injector's arming
-        state.  Quarantined sessions escalate an otherwise ``healthy``
-        service to ``degraded`` — something unrecoverable happened, even
-        if the runtime itself has moved on.
+        ``healthy`` until a session is quarantined, then ``degraded``:
+        something unrecoverable happened.  Also reports the fault
+        injector's arming state.
         """
-        runtime = self._runtime
-        snapshot = (
-            runtime.health.snapshot() if runtime is not None else {"state": "healthy"}
-        )
         with self._quarantine_lock:
             quarantined = self._quarantined_sessions
-        snapshot["quarantined_sessions"] = quarantined
-        if quarantined and snapshot["state"] == "healthy":
-            snapshot["state"] = "degraded"
-        snapshot["faults_armed"] = self.fault_injector is not None
-        snapshot["faults_injected"] = (
-            self.fault_injector.total_fired if self.fault_injector is not None else 0
-        )
-        return snapshot
+        return {
+            "state": "degraded" if quarantined else "healthy",
+            "quarantined_sessions": quarantined,
+            "faults_armed": self.fault_injector is not None,
+            "faults_injected": (
+                self.fault_injector.total_fired if self.fault_injector is not None else 0
+            ),
+        }
 
-    def runtime_stats(self) -> dict:
-        """One observability snapshot: executor mode, sessions, runtime.
+    def stats(self) -> dict:
+        """One observability snapshot: sessions, cache and health.
 
         ``sessions`` is the registry's consistent counter snapshot and
-        ``cache`` the digest cache's accounting — both are merged
-        regardless of executor mode, so an ``executor="inline"`` service
-        (which never builds the shared runtime) still reports them.
-        ``runtime`` holds the micro-batching metrics (counters, gauges,
-        histograms — see :mod:`repro.runtime.metrics`) and is ``None``
-        until a shared-mode session has run.
+        ``cache`` the digest cache's accounting (``None`` without
+        caching).
         """
-        runtime = self._runtime
         cache = self.shared_cache
         return {
-            "executor": self.config.executor,
-            "inference": self.config.inference,
             "sessions": self.registry.stats(),
             "cache": cache.stats() if cache is not None else None,
             "cache_hit_rate": cache.hit_rate if cache is not None else None,
-            "runtime": runtime.stats() if runtime is not None else None,
             "health": self.health(),
         }
 
@@ -595,11 +474,11 @@ class WitnessService:
             return None
         from repro.obs.flight import FlightRecorder
         from repro.obs.spans import SpanTracer
-        from repro.runtime.metrics import RuntimeMetrics
+        from repro.obs.metrics import MetricsRegistry
 
         with self._obs_lock:
             if self._span_metrics is None:
-                self._span_metrics = RuntimeMetrics()
+                self._span_metrics = MetricsRegistry()
             if self._flight is None:
                 self._flight = FlightRecorder(cfg.flight_frames)
             return SpanTracer(
@@ -621,7 +500,7 @@ class WitnessService:
 
     def telemetry(self):
         """One :class:`~repro.obs.telemetry.TelemetrySnapshot` federating
-        every stats island: sessions, cache, runtime, spans, flight,
+        every stats island: sessions, cache, health, spans, flight,
         arenas, transport pools."""
         from repro.obs.telemetry import build_snapshot
 
@@ -645,19 +524,12 @@ class WitnessService:
         return recorder.dump(path, reason=reason)
 
     def close(self) -> None:
-        """Release the service's runtime threads.  Idempotent.
+        """Release the service.  Idempotent.
 
-        Close a service after its sessions have ended: a still-open
-        shared-mode session holds a reference to the closed executor and
-        its next validation round will fail loudly rather than hang.  The
-        closed executor is retained so :meth:`runtime_stats` keeps
-        reporting its final counters; a later shared-mode session simply
-        gets a fresh one.
+        Every session validates inline on its caller's thread, so the
+        service owns no threads or pools to release; ``close`` and the
+        context manager stay so callers can scope a service's lifetime.
         """
-        with self._runtime_lock:
-            runtime = self._runtime
-        if runtime is not None:
-            runtime.close()
 
     def __enter__(self) -> "WitnessService":
         return self
@@ -760,15 +632,12 @@ class WitnessSession:
         self.vspec = vspec
         self.report = SessionReport()
         text_cache, image_cache = self.service.session_cache_views(self.config)
-        runtime = self.service.session_runtime(self.config)
         self._tracer = self.service.session_tracer(self.config, self.id)
         self._text_verifier = TextVerifier(
             self.service.text_model,
             batched=self.config.batched,
             cache=text_cache,
             chunk_size=self.config.predict_chunk,
-            runtime=runtime,
-            inference=self.config.inference,
             tracer=self._tracer,
             faults=self.service.fault_injector,
         )
@@ -777,8 +646,6 @@ class WitnessSession:
             batched=self.config.batched,
             cache=image_cache,
             chunk_size=self.config.predict_chunk,
-            runtime=runtime,
-            inference=self.config.inference,
             tracer=self._tracer,
             faults=self.service.fault_injector,
         )
@@ -788,7 +655,6 @@ class WitnessSession:
             self._image_verifier,
             pof_style=self.config.pof_style,
             check_background=self.config.check_background,
-            runtime=runtime,
             tracer=self._tracer,
         )
         self._tracker = InteractionTracker(
@@ -929,7 +795,7 @@ class WitnessSession:
                 Violation(
                     "quarantine",
                     f"session quarantined after {self._fault_count} unrecoverable "
-                    "runtime faults",
+                    "validation faults",
                 )
             )
             self.service._note_quarantine()

@@ -41,27 +41,15 @@ into one reusable ring buffer per round.  Steady-state repeated-frame
 validation therefore performs zero per-unit array allocations; the
 ``hot-alloc`` witness-lint rule pins the buffer-writing functions.
 
-Cross-session runtime
----------------------
-
-Plan batching caps vectorization at one frame of one session.  A verifier
-constructed with a ``runtime`` (the service's shared
-:class:`~repro.runtime.executor.ValidationExecutor`) reroutes only the
-model forward itself through the runtime's coalescing micro-batcher, so
-concurrent sessions' rounds merge into global batches.  Everything else —
-cache lookups, duplicate collapsing, the alignment-retry rings — stays
-here, which is why rerouting cannot change a verdict.
-
 Frozen inference
 ----------------
 
-Independent of *where* a forward runs (inline, plan-batched, runtime) is
-*what* executes it: with ``inference="frozen"`` (the default) verifiers
-feed unit inputs to the model's compiled frozen twin
+Verifiers feed unit inputs to the model's compiled frozen twin
 (:mod:`repro.nn.infer`) — fused float32 stages over reused per-shape
-workspaces, no inference lock; ``inference="training"`` keeps the
-layer-by-layer ``Sequential`` forward.  Decisions are identical either
-way.
+workspaces, no inference lock.  The layer-by-layer training forward
+(``MatcherModel.predict(..., frozen=False)``) stays for training and
+attacks, and as the reference the frozen path's parity tests compare
+against.
 """
 
 from __future__ import annotations
@@ -74,7 +62,6 @@ from repro.obs.spans import maybe_span
 from repro.nn.data import CHAR_TO_INDEX, collapse_char
 from repro.nn.infer import fail_closed_verdicts, predict_fn
 from repro.nn.model import PREDICT_CHUNK, MatcherModel
-from repro.runtime.batcher import forwards_for
 from repro.vision.hashing import region_digest
 from repro.vision.image import DTYPE as RASTER_DTYPE
 from repro.vision.image import as_array
@@ -249,6 +236,15 @@ def region_tiles_into(region: np.ndarray, out: np.ndarray, background: float = 2
                 tile[: y1 - y0, : x1 - x0] = region[y0:y1, x0:x1]
             i += 1
     return i
+
+
+def forwards_for(units: int, chunk_size: int | None) -> int:
+    """Model forward passes a batch of ``units`` rows costs when chunked."""
+    if units <= 0:
+        return 0
+    if chunk_size is None:
+        return 1
+    return -(-units // chunk_size)  # ceil division
 
 
 def _check_chunk_size(chunk_size: int | None) -> int | None:
@@ -479,10 +475,7 @@ class TextVerifier:
     ``invocations`` counts unit inputs fed to the model (the unit of
     Table VI); ``forwards`` counts actual model forward passes — in
     batched mode one (chunked) forward covers many unit inputs, which is
-    where the paper's GPU-setup speedup comes from.  With a ``runtime``
-    the forward coalesces with other sessions' rounds and ``forwards``
-    counts the submission's share of the flush (the chunk-forwards its
-    own rows rode in).
+    where the paper's GPU-setup speedup comes from.
     """
 
     def __init__(
@@ -491,23 +484,17 @@ class TextVerifier:
         batched: bool = False,
         cache=None,
         chunk_size: int | None = PREDICT_CHUNK,
-        runtime=None,
-        inference: str = "frozen",
         tracer=None,
         faults=None,
     ) -> None:
-        if runtime is not None and not batched:
-            raise ValueError("a shared runtime requires batched=True")
         self.model = model
         self.batched = batched
         self.cache = cache
         self.chunk_size = _check_chunk_size(chunk_size)
-        self.runtime = runtime
-        self.inference = inference
         #: Optional :class:`repro.obs.spans.SpanTracer`; ``None`` (the
         #: default) keeps every span site on the no-op fast path.
         self.tracer = tracer
-        self._predict = predict_fn(model, inference)
+        self._predict = predict_fn(model, "frozen")
         if faults is not None:
             # Arm the ``infer.*`` seams: the wrapped forward may raise or
             # return NaN logits; the retry/sanitize helpers absorb both.
@@ -602,16 +589,9 @@ class TextVerifier:
             exp = self._expected_onehot_rows([chars[pending_idx[j]] for j in rep_positions])
             if self.batched:
                 self.invocations += m
-                if self.runtime is not None:
-                    with maybe_span(self.tracer, "runtime.submit.text"):
-                        verdicts, forwards = self.runtime.predict(
-                            "text", obs, exp, tracer=self.tracer
-                        )
-                    self.forwards += forwards
-                else:
-                    with maybe_span(self.tracer, "forward.text"):
-                        verdicts = self._forward_batch(obs, exp)
-                    self.forwards += forwards_for(m, self.chunk_size)
+                with maybe_span(self.tracer, "forward.text"):
+                    verdicts = self._forward_batch(obs, exp)
+                self.forwards += forwards_for(m, self.chunk_size)
             else:
                 verdicts = np.zeros(m, dtype=bool)
                 with maybe_span(self.tracer, "forward.text"):
@@ -699,7 +679,7 @@ class ImageVerifier:
 
     ``invocations``/``forwards`` follow the same semantics as
     :class:`TextVerifier`: unit inputs fed to the model vs actual model
-    forward passes (a flush share when routed through a ``runtime``).
+    forward passes.
     """
 
     def __init__(
@@ -708,22 +688,16 @@ class ImageVerifier:
         batched: bool = False,
         cache=None,
         chunk_size: int | None = PREDICT_CHUNK,
-        runtime=None,
-        inference: str = "frozen",
         tracer=None,
         faults=None,
     ) -> None:
-        if runtime is not None and not batched:
-            raise ValueError("a shared runtime requires batched=True")
         self.model = model
         self.batched = batched
         self.cache = cache
         self.chunk_size = _check_chunk_size(chunk_size)
-        self.runtime = runtime
-        self.inference = inference
         #: Optional :class:`repro.obs.spans.SpanTracer` (see TextVerifier).
         self.tracer = tracer
-        self._predict = predict_fn(model, inference)
+        self._predict = predict_fn(model, "frozen")
         if faults is not None:
             # Same ``infer.*`` seam arming as TextVerifier.
             self._predict = faults.wrap_predict(self._predict)
@@ -786,16 +760,9 @@ class ImageVerifier:
             np.divide(exp, 255.0, out=exp)
             if self.batched:
                 self.invocations += m
-                if self.runtime is not None:
-                    with maybe_span(self.tracer, "runtime.submit.image"):
-                        verdicts, forwards = self.runtime.predict(
-                            "image", obs, exp, tracer=self.tracer
-                        )
-                    self.forwards += forwards
-                else:
-                    with maybe_span(self.tracer, "forward.image"):
-                        verdicts = self._forward_batch(obs, exp)
-                    self.forwards += forwards_for(m, self.chunk_size)
+                with maybe_span(self.tracer, "forward.image"):
+                    verdicts = self._forward_batch(obs, exp)
+                self.forwards += forwards_for(m, self.chunk_size)
             else:
                 verdicts = np.zeros(m, dtype=bool)
                 with maybe_span(self.tracer, "forward.image"):

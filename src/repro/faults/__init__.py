@@ -21,16 +21,13 @@ Seams stay zero-cost when disarmed: every injection site is guarded by
 package, so the disarmed hot path is statically allocation-free.
 """
 
-from repro.faults.injector import CacheFault, FaultInjector, InjectedFault
+from repro.faults.injector import CacheFault, FaultInjector, InjectedFault, RuntimeFaultError
 from repro.faults.plan import (
     FAULT_POINTS,
     HONEST_EXPECTATIONS,
     FaultPlan,
     FaultSpec,
-    admission_timeout_plan,
     cache_fault_plan,
-    flush_stall_plan,
-    flusher_crash_plan,
     forward_raise_plan,
     frame_corruption_plan,
     frame_drop_plan,
@@ -46,10 +43,8 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
-    "admission_timeout_plan",
+    "RuntimeFaultError",
     "cache_fault_plan",
-    "flush_stall_plan",
-    "flusher_crash_plan",
     "forward_raise_plan",
     "frame_corruption_plan",
     "frame_drop_plan",

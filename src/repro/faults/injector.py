@@ -10,17 +10,15 @@ path costs one ``is None`` test and zero allocations.
 Determinism: each point owns a seeded RNG derived from ``(plan seed,
 point name)`` and a call counter, both advanced under one small lock.
 A single-threaded scenario therefore replays the exact same fault
-schedule on every run; under concurrency (flusher threads racing
-session threads) the *set* of recoverable faults may interleave
-differently, which is fine — recoverable faults by definition do not
-change verdicts, and the fault soak only demands bit-identical
-fingerprints of plans whose faults are all recoverable.
+schedule on every run; under concurrent sessions the *set* of
+recoverable faults may interleave differently, which is fine —
+recoverable faults by definition do not change verdicts, and the fault
+soak only demands bit-identical fingerprints of plans whose faults are
+all recoverable.
 
-Exceptions raised by fired points subclass
-:class:`repro.runtime.errors.RuntimeFaultError`, so the recovery code
-(executor degradation ladder, session quarantine) handles injected and
-organic faults through the same ``except`` clause — injection proves
-the organic paths.
+Exceptions raised by fired points subclass :class:`RuntimeFaultError`,
+so the session quarantine handles injected and organic faults through
+the same ``except`` clause — injection proves the organic paths.
 """
 
 from __future__ import annotations
@@ -30,7 +28,15 @@ import threading
 import numpy as np
 
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.runtime.errors import RuntimeFaultError
+
+
+class RuntimeFaultError(RuntimeError):
+    """Base class of the faults a validation round can surface to a session.
+
+    Subclasses ``RuntimeError`` so existing ``except RuntimeError`` call
+    sites keep working; the session turns one into a refusal-causing
+    violation and quarantines after ``max_session_faults``.
+    """
 
 
 class InjectedFault(RuntimeFaultError):
@@ -85,11 +91,6 @@ class FaultInjector:
                 state.fires += 1
             return fired
 
-    def fire(self, point: str) -> None:
-        """Raise :class:`InjectedFault` if ``point`` is scheduled to fire."""
-        if self.decide(point):
-            raise InjectedFault(f"injected fault at {point}")
-
     # -- seam-specific helpers ----------------------------------------------
 
     def sampler_delay_ms(self) -> float:
@@ -98,13 +99,6 @@ class FaultInjector:
         if state is None or not self.decide("sampler.delay"):
             return 0.0
         return state.spec.delay_ms
-
-    def stall_seconds(self, point: str) -> float:
-        """Wall-clock stall to impose at ``point`` (0.0 = none fired)."""
-        state = self._points.get(point)
-        if state is None or not self.decide(point):
-            return 0.0
-        return state.spec.stall_seconds
 
     def corrupt_frame(self, pixels: np.ndarray) -> np.ndarray:
         """A corrupted copy of sampled pixels: seeded inverted patches.

@@ -1,7 +1,7 @@
 """Fault plans: deterministic, seedable schedules of named fault points.
 
 A :class:`FaultPlan` is pure data — *which* seams fire, *when*, and what
-an honest session is entitled to expect while they do.  The runtime
+an honest session is entitled to expect while they do.  The armed
 state that actually counts invocations and fires lives in
 :class:`repro.faults.injector.FaultInjector`; keeping the plan frozen
 means a soak can hand the same plan to many services and every run
@@ -19,8 +19,7 @@ seeded from ``(plan.seed, point name)``.
 
 * ``"identical"`` — the faults are recoverable; an honest session must
   certify with a session fingerprint bit-identical to the fault-free
-  run (flusher crash, flush stall, admission timeout, forward raise,
-  cache fault).
+  run (forward raise, cache fault).
 * ``"certify"`` — the faults perturb *evidence collection* (dropped or
   delayed samples), so fingerprints legitimately differ, but an honest
   session must still certify and pass server verification.
@@ -45,9 +44,6 @@ FAULT_POINTS = {
     "sampler.bitflip": "core.service — sampled pixels are corrupted in flight",
     "infer.raise": "nn.infer — a model forward raises mid-predict",
     "infer.nan": "nn.infer — a model forward returns NaN logits",
-    "runtime.flusher_crash": "runtime.batcher — the flusher thread dies",
-    "runtime.flush_stall": "runtime.batcher — a flush stalls past the deadline",
-    "runtime.admission_timeout": "runtime.backpressure — the gate times out",
     "cache.error": "core.caches — a digest-cache lookup raises",
 }
 
@@ -69,8 +65,6 @@ class FaultSpec:
     max_fires: int | None = None
     #: ``sampler.delay``: how far the schedule is pushed (virtual ms).
     delay_ms: float = 100.0
-    #: ``runtime.flush_stall``: how long the flusher sleeps (wall seconds).
-    stall_seconds: float = 0.5
     #: ``sampler.bitflip``: inverted square patches per corrupted frame,
     #: and their side length in pixels.
     patches: int = 2
@@ -99,11 +93,6 @@ class FaultPlan:
     specs: tuple = ()
     seed: int = 0
     honest_expectation: str = "identical"
-    #: ``WitnessConfig`` overrides the plan needs to be observable at
-    #: test scale (e.g. a short ``runtime_submit_timeout_s`` so a stalled
-    #: flush is *noticed* within the soak's budget), as ``(field, value)``
-    #: pairs — tuples keep the plan hashable.
-    config_overrides: tuple = ()
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -164,8 +153,8 @@ def frame_corruption_plan(seed: int = 0) -> FaultPlan:
 
 
 def forward_raise_plan(seed: int = 0) -> FaultPlan:
-    """One early model forward raises: recovered by the verifier's (or
-    executor's) retry — fingerprints must stay bit-identical."""
+    """One early model forward raises: recovered by the verifier's retry —
+    fingerprints must stay bit-identical."""
     return FaultPlan(
         name="forward-raise",
         seed=seed,
@@ -183,41 +172,6 @@ def nan_logits_plan(seed: int = 0) -> FaultPlan:
         seed=seed,
         honest_expectation="refuse",
         specs=(FaultSpec("infer.nan", rate=1.0),),
-    )
-
-
-def flusher_crash_plan(seed: int = 0) -> FaultPlan:
-    """The shared runtime's flusher thread dies twice mid-fleet: the
-    supervisor restarts it and re-drains, losing no waiting session —
-    fingerprints must stay bit-identical."""
-    return FaultPlan(
-        name="flusher-crash",
-        seed=seed,
-        honest_expectation="identical",
-        specs=(FaultSpec("runtime.flusher_crash", at_calls=(1, 2), max_fires=2),),
-    )
-
-
-def flush_stall_plan(seed: int = 0) -> FaultPlan:
-    """One flush stalls past the submit deadline: the submitter times out
-    and degrades to an inline forward — same verdicts, coalescing lost."""
-    return FaultPlan(
-        name="flush-stall",
-        seed=seed,
-        honest_expectation="identical",
-        specs=(FaultSpec("runtime.flush_stall", at_calls=(1,), max_fires=1, stall_seconds=1.0),),
-        config_overrides=(("runtime_submit_timeout_s", 0.25),),
-    )
-
-
-def admission_timeout_plan(seed: int = 0) -> FaultPlan:
-    """The admission gate times out one submission: typed
-    ``AdmissionTimeout``, counted, degraded to inline — bit-identical."""
-    return FaultPlan(
-        name="admission-timeout",
-        seed=seed,
-        honest_expectation="identical",
-        specs=(FaultSpec("runtime.admission_timeout", at_calls=(1,), max_fires=1),),
     )
 
 
@@ -239,8 +193,5 @@ def shipped_plans(seed: int = 0) -> tuple:
         frame_corruption_plan(seed),
         forward_raise_plan(seed),
         nan_logits_plan(seed),
-        flusher_crash_plan(seed),
-        flush_stall_plan(seed),
-        admission_timeout_plan(seed),
         cache_fault_plan(seed),
     )

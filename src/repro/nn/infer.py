@@ -28,9 +28,9 @@ executable:
   ``max``.
 * **Workspace arenas.**  All scratch (pad rings, im2col columns, GEMM
   outputs, pool temporaries) lives in a per-shape :class:`Workspace`,
-  keyed by input shape and reused across calls — the steady state of the
-  runtime's flusher threads, which replay the same micro-batch shapes all
-  day, allocates nothing.  Workspaces are thread-confined (one arena per
+  keyed by input shape and reused across calls — the steady state of a
+  session thread, which replays the same chunked batch shapes frame after
+  frame, allocates nothing.  Workspaces are thread-confined (one arena per
   thread, LRU-evicted past ``max_shapes``), so frozen forwards need no
   inference lock at all.
 
@@ -78,17 +78,16 @@ from repro.nn.model import (
 )
 from repro.nn.tensorops import conv_output_size
 
-#: Valid ``WitnessConfig.inference`` modes.
+#: Valid :func:`predict_fn` modes.
 INFERENCE_MODES = ("frozen", "training")
 
 #: The one and only dtype of a frozen forward.
 INFER_DTYPE = np.float32
 
 #: Default bound on distinct input shapes cached per thread before LRU
-#: eviction.  Matcher traffic is shape-repetitive (chunked batches, the
-#: runtime's micro-batches), so a handful of slots covers the steady
-#: state while a session storm of odd shapes cannot grow memory without
-#: bound.
+#: eviction.  Matcher traffic is shape-repetitive (chunked batches), so
+#: a handful of slots covers the steady state while a session storm of
+#: odd shapes cannot grow memory without bound.
 DEFAULT_MAX_SHAPES = 8
 
 #: witness-san seam (see :mod:`repro.analysis.sanitizer`): the active
@@ -662,7 +661,7 @@ def frozen_twin(model, max_shapes: int = DEFAULT_MAX_SHAPES):
     """The memoized frozen twin of ``model`` (compiled once per instance).
 
     The twin is cached on the model object itself so every caller —
-    verifiers, the runtime executor, ``MatcherModel.predict``'s automatic
+    verifiers, ``MatcherModel.predict``'s automatic
     dispatch — shares one set of compiled weights.
     :func:`~repro.nn.serialize.load_model` invalidates the cache when it
     overwrites parameters in place.
@@ -700,7 +699,7 @@ def arena_stats(model) -> dict | None:
 
 def predict_fn(model, inference: str):
     """Resolve the ``predict(observed, expected, chunk_size)`` callable a
-    consumer (verifier, runtime flusher) should feed unit inputs to.
+    consumer (a verifier, a parity test) should feed unit inputs to.
 
     ``"frozen"`` routes through the memoized frozen twin; a model the
     compiler does not understand (duck-typed test doubles, exotic

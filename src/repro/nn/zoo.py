@@ -203,8 +203,8 @@ def _vend(model):
     """Attach the memoized frozen inference twin before vending.
 
     Freezing happens strictly post-load/post-train (weights are final),
-    so every consumer of a zoo model — verifiers, the runtime executor,
-    ``predict``'s automatic dispatch — shares one compiled twin.
+    so every consumer of a zoo model — verifiers, ``predict``'s
+    automatic dispatch — shares one compiled twin.
     Sequential reference classifiers are vended unfrozen; callers can
     :func:`repro.nn.infer.freeze` them explicitly.
     """

@@ -9,11 +9,13 @@ Three pieces (see each module's docstring):
 * :mod:`repro.obs.flight` — the bounded ring of recent frame traces
   that violations and divergences dump as JSON artifacts.
 
-This ``__init__`` stays import-light on purpose: :mod:`repro.runtime.\
-batcher` imports :func:`maybe_span` from the hot path, so pulling the
-telemetry hub (which reaches into :mod:`repro.nn.infer` and
-:mod:`repro.core.planbuf`) is deferred until someone actually asks for a
-snapshot.
+* :mod:`repro.obs.metrics` — the bucketed histograms behind the span
+  latencies.
+
+This ``__init__`` stays import-light on purpose: the verifiers import
+:func:`maybe_span` on the hot path, so pulling the telemetry hub (which
+reaches into :mod:`repro.nn.infer` and :mod:`repro.core.planbuf`) is
+deferred until someone actually asks for a snapshot.
 """
 
 from repro.obs.flight import FlightRecorder

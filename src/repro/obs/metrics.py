@@ -1,65 +1,20 @@
-"""Runtime observability: counters, gauges and histograms.
+"""Bucketed latency histograms behind the span tracer.
 
-A :class:`RuntimeMetrics` registry is the single observability surface of
-the validation runtime (:mod:`repro.runtime.executor`).  It is deliberately
-Prometheus-shaped — monotonic counters, point-in-time gauges, bucketed
-histograms — so a deployment can lift :meth:`RuntimeMetrics.snapshot`
-straight into its metrics endpoint, but it has no external dependencies:
-instruments are plain objects sharing one lock.
+A :class:`MetricsRegistry` holds the per-stage span histograms of one
+service (:mod:`repro.obs.spans`); its :meth:`MetricsRegistry.snapshot`
+is Prometheus-shaped, so a deployment can lift it straight into its
+metrics endpoint, but it has no external dependencies: histograms are
+plain objects sharing one lock.
 
-Instrument names are dotted paths (``flushes_total.text``,
-``batch_occupancy.image``); the per-kind suffix keeps the two model kinds
-separately observable without a label system.
+Instrument names are dotted paths (``span_ms.frame.locate``).
 """
 
 from __future__ import annotations
 
 import threading
 
-#: Default histogram bucket upper bounds.  Chosen to cover both unit
-#: counts (batch occupancy: 1..thousands) and millisecond latencies
-#: (flush waits: sub-ms..seconds) without per-instrument tuning.
+#: Default histogram bucket upper bounds.
 DEFAULT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
-
-
-class Counter:
-    """A monotonically increasing counter."""
-
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
-        self._value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up, got increment {amount}")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A point-in-time value that can move both ways."""
-
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += delta
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
 
 
 class Histogram:
@@ -149,35 +104,16 @@ class Histogram:
             }
 
 
-class RuntimeMetrics:
-    """Create-or-get registry of named instruments with one atomic snapshot.
-
-    One registry belongs to one :class:`~repro.runtime.executor.\
-ValidationExecutor`; :meth:`repro.core.service.WitnessService.runtime_stats`
-    surfaces its :meth:`snapshot`.
-    """
+class MetricsRegistry:
+    """Create-or-get registry of named histograms with one atomic snapshot."""
 
     def __init__(self) -> None:
-        # One lock for registration, a second shared by every instrument:
-        # snapshot() then sees each instrument atomically without holding
-        # up registration, and instruments stay cheap to create.
+        # One lock for registration, a second shared by every histogram:
+        # snapshot() then sees each histogram atomically without holding
+        # up registration, and histograms stay cheap to create.
         self._registry_lock = threading.Lock()
         self._data_lock = threading.Lock()
-        self._counters: dict = {}
-        self._gauges: dict = {}
         self._histograms: dict = {}
-
-    def counter(self, name: str) -> Counter:
-        with self._registry_lock:
-            if name not in self._counters:
-                self._counters[name] = Counter(self._data_lock)
-            return self._counters[name]
-
-    def gauge(self, name: str) -> Gauge:
-        with self._registry_lock:
-            if name not in self._gauges:
-                self._gauges[name] = Gauge(self._data_lock)
-            return self._gauges[name]
 
     def histogram(self, name: str, buckets=DEFAULT_BUCKETS) -> Histogram:
         with self._registry_lock:
@@ -186,13 +122,9 @@ ValidationExecutor`; :meth:`repro.core.service.WitnessService.runtime_stats`
             return self._histograms[name]
 
     def snapshot(self) -> dict:
-        """All instruments as plain nested dicts (JSON-serializable)."""
+        """All histograms as plain nested dicts (JSON-serializable)."""
         with self._registry_lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = dict(self._histograms)
         return {
-            "counters": {name: c.value for name, c in sorted(counters.items())},
-            "gauges": {name: g.value for name, g in sorted(gauges.items())},
             "histograms": {name: h.snapshot() for name, h in sorted(histograms.items())},
         }

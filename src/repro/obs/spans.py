@@ -1,15 +1,15 @@
 """Frame-span tracing: per-stage latency of a frame's life as a tree.
 
 A sampled frame flows ``frame.sample`` → ``frame.locate`` →
-``plan.collect`` → ``plan.execute`` → per-kind ``forward.*`` /
-``runtime.submit.*`` / ``flush.wait.*`` → ``verdict.scatter``.  A
+``plan.collect`` → ``plan.execute`` → per-kind ``forward.*`` →
+``verdict.scatter``.  A
 :class:`SpanTracer` times each stage with :func:`time.perf_counter`
 (wall time never enters a verdict or fingerprint) and records two
 things per span:
 
-* an observation into a per-stage latency :class:`~repro.runtime.\
-metrics.Histogram` (shared service-wide, so percentiles aggregate over
-  every traced session), and
+* an observation into a per-stage latency :class:`~repro.obs.metrics.\
+Histogram` (shared service-wide, so percentiles aggregate over every
+  traced session), and
 * a span record ``{stage, parent, ms, thread}`` appended to the current
   :class:`FrameTrace` — the flight-recorder evidence unit.
 
@@ -26,12 +26,9 @@ Design constraints, in order:
    no caches, no RNG.  The soak harness asserts fingerprints are
    bit-identical with tracing on vs off.
 3. **Thread safety without a hot lock.**  Span *stacks* (for parentage)
-   are thread-local per tracer: the session thread and the runtime pool
-   thread executing the image side of the same plan each nest within
-   their own stack.  A span opened on a thread with an empty stack
-   parents to the synthetic root ``"frame"`` — so cross-thread spans
-   (the image plan on a pool worker) appear as children of the frame,
-   which is where they belong.  Appends to the shared
+   are thread-local per tracer, so spans opened on different threads
+   each nest within their own stack.  A span opened on a thread with an
+   empty stack parents to the synthetic root ``"frame"``.  Appends to the shared
    ``FrameTrace.spans`` list are atomic under the GIL; histogram
    observations take the metrics registry's own data lock.
 """
@@ -45,13 +42,12 @@ from typing import TYPE_CHECKING
 
 from repro.analysis import hot_path
 
-if TYPE_CHECKING:  # import-light on purpose: the runtime's hot path
-    # (batcher/executor) imports maybe_span, and repro.runtime's package
-    # init imports the batcher — a real metrics import here would cycle.
-    from repro.runtime.metrics import RuntimeMetrics
+if TYPE_CHECKING:  # import-light on purpose: the span fast path only
+    # needs the registry's type for annotations.
+    from repro.obs.metrics import MetricsRegistry
 
 #: Bucket bounds (milliseconds) for per-stage span latency histograms.
-#: Finer at the bottom than the runtime's flush buckets: stages like
+#: Finer at the bottom than the registry's default buckets: stages like
 #: ``verdict.scatter`` routinely finish in tens of microseconds.
 SPAN_BUCKETS_MS = (0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000)
 
@@ -72,10 +68,6 @@ STAGES = (
     "plan.execute",
     "forward.text",
     "forward.image",
-    "runtime.submit.text",
-    "runtime.submit.image",
-    "flush.wait.text",
-    "flush.wait.image",
     "verdict.scatter",
 )
 
@@ -195,7 +187,7 @@ class SpanTracer:
     def __init__(
         self,
         session_id: int,
-        metrics: "RuntimeMetrics",
+        metrics: "MetricsRegistry",
         recorder=None,
         cache=None,
     ) -> None:
@@ -208,12 +200,8 @@ class SpanTracer:
         #: counters are delta'd per frame.
         self.cache = cache
         self._tls = threading.local()
-        #: The frame currently being traced.  Written only by the session
-        #: thread (``begin_frame``/``finish_frame``); pool threads read it
-        #: to append span records — a benign race only if a frame boundary
-        #: interleaves with a straggling pool span, in which case the span
-        #: lands in the neighboring frame's record (histograms are exact
-        #: regardless).
+        #: The frame currently being traced (``begin_frame`` to
+        #: ``finish_frame``).
         self._trace: FrameTrace | None = None
         self._cache_hits0 = 0
         self._cache_misses0 = 0
@@ -292,7 +280,7 @@ class SpanTracer:
         return trace
 
 
-def span_snapshots(metrics: "RuntimeMetrics | None") -> dict:
+def span_snapshots(metrics: "MetricsRegistry | None") -> dict:
     """Per-stage histogram snapshots keyed by stage name.
 
     Strips the ``span_ms.`` instrument prefix; returns ``{}`` when no

@@ -1,20 +1,18 @@
 """The telemetry hub: one namespaced snapshot of every stats island.
 
-Observability grew organically, one island per subsystem:
-``RuntimeMetrics`` sees only the shared executor, arena stats live on
-the frozen twins (:mod:`repro.nn.infer`), transport-pool stats in
+Observability grew organically, one island per subsystem: arena stats
+live on the frozen twins (:mod:`repro.nn.infer`), transport-pool stats in
 :mod:`repro.core.planbuf`, cache accounting on the
 :class:`~repro.core.caches.DigestCache`, session counters in the
 :class:`~repro.core.service.SessionRegistry`, span latencies in the span
 metrics.  :func:`build_snapshot` federates them into one
 :class:`TelemetrySnapshot` with stable namespaces::
 
-    service   executor/inference/batched/caching/tracing knobs
+    service   batched/caching/tracing knobs
     sessions  registry counters (active/total_opened/peak_active)
     cache     DigestCache stats (entries/hits/misses/evictions/hit_rate)
-    runtime   executor metrics (counters/gauges/histograms), or None
-    health    degradation-ladder state (healthy/degraded/failed, crash/
-              restart/quarantine counters, fault-injector arming)
+    health    degradation-ladder state (healthy/degraded, quarantine
+              counter, fault-injector arming)
     faults    fault-injector schedule accounting (per-point calls/fires),
               or None when no FaultPlan is armed
     spans     per-stage latency histograms incl. p50/p95/p99, or {}
@@ -146,8 +144,9 @@ class TelemetrySnapshot:
         s = self.sections
         lines = [
             "repro telemetry",
-            "  service: executor={executor} inference={inference} batched={batched} "
-            "tracing={tracing}".format(**s["service"]),
+            "  service: batched={batched} caching={caching} tracing={tracing}".format(
+                **s["service"]
+            ),
             "  sessions: active={active} opened={total_opened} peak={peak_active}".format(
                 **s["sessions"]
             ),
@@ -175,13 +174,6 @@ class TelemetrySnapshot:
             lines.append(
                 "  flight: {frames}/{capacity} frames buffered, {recorded} recorded, "
                 "{evicted} evicted, {dumps} dumps".format(**flight)
-            )
-        runtime = s.get("runtime")
-        if runtime:
-            lines.append(
-                "  runtime: forwards={forwards_total} saved={forwards_saved_total}".format(
-                    **runtime
-                )
             )
         health = s.get("health")
         if health:
@@ -229,20 +221,16 @@ def build_snapshot(service) -> TelemetrySnapshot:
     The implementation of :meth:`repro.core.service.WitnessService.telemetry`.
     """
     cfg = service.config
-    runtime = service.runtime
     cache = service.shared_cache
     recorder = service.flight_recorder
     sections = {
         "service": {
-            "executor": cfg.executor,
-            "inference": cfg.inference,
             "batched": cfg.batched,
             "caching": cfg.caching,
             "tracing": cfg.tracing,
         },
         "sessions": service.registry.stats(),
         "cache": cache.stats() if cache is not None else None,
-        "runtime": runtime.stats() if runtime is not None else None,
         "health": service.health(),
         "faults": (
             service.fault_injector.snapshot()

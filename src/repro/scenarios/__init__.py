@@ -2,10 +2,9 @@
 
 Declarative scenario generation (:class:`ScenarioSpec` -> page
 archetypes x user scripts) plus the deterministic soak driver
-(:func:`run_soak`) that proves every engine combination — batched x
-sequential planning, shared x inline execution, frozen x training
-inference — computes bit-identical decisions, violations and certified
-requests across every display condition a guest can produce.
+(:func:`run_soak`) that proves both engine combinations — batched and
+sequential planning — compute bit-identical decisions, violations and
+certified requests across every display condition a guest can produce.
 """
 
 from repro.scenarios.pages import ARCHETYPES, DISPLAYS, archetype_stack, build_archetype_pages
@@ -17,7 +16,6 @@ from repro.scenarios.soak import (
     EngineCombo,
     ScenarioOutcome,
     SoakResult,
-    baseline_combo,
     combo_by_name,
     default_soak_specs,
     run_scenario,
@@ -39,7 +37,6 @@ __all__ = [
     "ScenarioSpec",
     "SoakResult",
     "archetype_stack",
-    "baseline_combo",
     "build_archetype_pages",
     "combo_by_name",
     "default_soak_specs",

@@ -1,11 +1,10 @@
 """The deterministic scenario-diversity soak driver.
 
-Three PRs of fast paths gave the witness several ways to compute every
-verdict: plan-level batching vs sequential units, the shared
-cross-session executor vs inline execution, and frozen vs training
-inference.  Correctness claims only hold if they all *agree* — on every
-display condition a guest can produce.  ``run_soak`` is the machinery
-that proves it:
+The witness has two ways to compute every verdict: plan-level batching
+(the paper's GPU setup) and sequential units (its CPU setup).
+Correctness claims only hold if they *agree* — on every display
+condition a guest can produce.  ``run_soak`` is the machinery that
+proves it:
 
 * each :class:`~repro.scenarios.spec.ScenarioSpec` is instantiated
   deterministically and driven through **every engine combination** in
@@ -45,25 +44,18 @@ class EngineCombo:
 
     name: str
     batched: bool
-    executor: str
-    inference: str
 
     def config(self, base: WitnessConfig | None = None) -> WitnessConfig:
         base = base or WitnessConfig()
-        return base.replace(
-            batched=self.batched, executor=self.executor, inference=self.inference
-        )
+        return base.replace(batched=self.batched)
 
 
-#: Every valid engine combination (``executor="shared"`` requires
-#: ``batched=True``, so the matrix has six cells, not eight).
+#: Every engine combination; the first is the soak's default baseline.
+#: Names keep the full engine description: every session validates
+#: inline on its own thread with the frozen inference engine.
 ENGINE_COMBOS = (
-    EngineCombo("batched-inline-frozen", batched=True, executor="inline", inference="frozen"),
-    EngineCombo("batched-inline-training", batched=True, executor="inline", inference="training"),
-    EngineCombo("sequential-inline-frozen", batched=False, executor="inline", inference="frozen"),
-    EngineCombo("sequential-inline-training", batched=False, executor="inline", inference="training"),
-    EngineCombo("batched-shared-frozen", batched=True, executor="shared", inference="frozen"),
-    EngineCombo("batched-shared-training", batched=True, executor="shared", inference="training"),
+    EngineCombo("batched-inline-frozen", batched=True),
+    EngineCombo("sequential-inline-frozen", batched=False),
 )
 
 
@@ -72,12 +64,6 @@ def combo_by_name(name: str) -> EngineCombo:
         if combo.name == name:
             return combo
     raise KeyError(f"unknown engine combo {name!r}")
-
-
-def baseline_combo(executor: str = "inline", inference: str = "frozen") -> EngineCombo:
-    """The combo matching the benchmark suite's ``--executor``/``--inference``
-    knobs (always a batched cell; shared execution presupposes batching)."""
-    return combo_by_name(f"batched-{executor}-{inference}")
 
 
 # -- fingerprints ----------------------------------------------------------
@@ -242,8 +228,9 @@ class SoakResult:
     sessions_per_combo: dict
     #: Total model forwards per engine combination.  Decisions are
     #: bit-identical across combos; this is where the combos are
-    #: *supposed* to differ (shared combos coalesce, batched combos
-    #: chunk) — surfaced so the soak also documents the cost spread.
+    #: *supposed* to differ (batched combos chunk, sequential ones run a
+    #: forward per unit) — surfaced so the soak also documents the cost
+    #: spread.
     forwards_per_combo: dict = field(default_factory=dict)
     divergences: list = field(default_factory=list)
     crashes: list = field(default_factory=list)
@@ -265,8 +252,8 @@ class SoakResult:
     #: critical one), an honest session that diverged from its plan's
     #: expectation, or a crash during a faulted pass.
     fault_failures: list = field(default_factory=list)
-    #: Per-plan accounting: injector fires per point, runtime health
-    #: counters, sessions/certified/refused, wall seconds.
+    #: Per-plan accounting: injector fires per point, service health,
+    #: sessions/certified/refused, wall seconds.
     fault_stats: dict = field(default_factory=dict)
 
     @property
@@ -463,12 +450,11 @@ def run_soak(
         combos: the engine combinations to cross-check.
         baseline: the reference combo (name or instance); defaults to the
             first of ``combos``.  Every other combo is compared to it.
-        config: base :class:`WitnessConfig` for runtime knobs; each
-            combo's batched/executor/inference fields are overlaid on it.
+        config: base :class:`WitnessConfig`; each combo's ``batched``
+            field is overlaid on it.
         threads: drive this many scenario fleets concurrently within each
-            combo (>=2 exercises genuine cross-session coalescing on the
-            shared executor; fingerprints must *still* match, because
-            per-session verdicts do not depend on batch composition).
+            combo (>=2 exercises concurrent sessions sharing one service
+            and its digest cache; fingerprints must *still* match).
         tracing: run every combo with span tracing on.  Fingerprints are
             compared exactly as without — tracing changing any of them IS
             a divergence.  The baseline combo's per-stage percentiles land
@@ -483,9 +469,7 @@ def run_soak(
             (:func:`_fault_expectation_failures`): tampered sessions
             never certify, honest sessions follow the plan's
             ``honest_expectation`` — ``identical`` plans must reproduce
-            the fault-free fingerprints bit-for-bit.  Runtime seams
-            (flusher crash/stall, admission timeout) only exercise under
-            a shared-executor baseline.  Faulted passes compare only
+            the fault-free fingerprints bit-for-bit.  Faulted passes compare only
             within their own combo — cross-combo fingerprints are not
             meaningful under faults.
 
@@ -562,15 +546,7 @@ def run_soak(
                     }
                     for stage, snap in span_snapshots(service.span_metrics).items()
                 }
-        # Shared combos' flushes are co-owned by many sessions: the
-        # runtime's global counter is authoritative there; inline combos
-        # sum exactly per session.
-        runtime = service.runtime_stats().get("runtime")
-        forwards_per_combo[combo.name] = (
-            runtime["forwards_total"]
-            if runtime is not None
-            else sum(o.forwards for o in per_combo.values())
-        )
+        forwards_per_combo[combo.name] = sum(o.forwards for o in per_combo.values())
     divergences: list = []
     base_outcomes = outcomes[baseline.name]
     for combo in ordered[1:]:
@@ -627,9 +603,7 @@ def run_soak(
         fault_plans = tuple(p.name for p in plans)
         for plan in plans:
             pt0 = time.perf_counter()
-            fcfg = baseline.config(config).replace(
-                faults=plan, **dict(plan.config_overrides)
-            )
+            fcfg = baseline.config(config).replace(faults=plan)
             service = WitnessService(
                 CertificateAuthority(), fcfg,
                 text_model=text_model, image_model=image_model,

@@ -2,7 +2,7 @@
 
 Unit tests drive the sanitizer against synthetic lock/pool shapes (the
 test module is added to the tracked prefixes so locks created *here*
-are wrapped); the integration tests drive real runtime objects and a
+are wrapped); the integration tests drive the real span metrics and a
 small soak slice, asserting the recorded orderings stay inside the
 static model and that arming changes **nothing** about verdicts
 (bit-identical session fingerprints with the sanitizer on vs off).
@@ -179,30 +179,21 @@ class TestStaticModelCrossCheck:
         for pair in DECLARED_LOCK_ORDER:
             assert tuple(pair) in model
 
-    def test_runtime_orderings_stay_inside_model(self):
-        """Drive the real micro-batcher + metrics under the sanitizer."""
-        import numpy as np
-
-        from repro.runtime.batcher import MicroBatcher
-        from repro.runtime.metrics import RuntimeMetrics
+    def test_span_metrics_orderings_stay_inside_model(self):
+        """Drive the real span histograms (the declared metrics edge's
+        owner) under the sanitizer."""
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.spans import SpanTracer
 
         with sanitizer.sanitized() as state:
-            metrics = RuntimeMetrics()
-            batcher = MicroBatcher(
-                "text",
-                lambda obs, exp, *a, **k: np.zeros(obs.shape[0], dtype=np.float32),
-                max_batch_units=8,
-                flush_deadline=0.001,
-                metrics=metrics,
-            )
-            try:
-                obs = np.zeros((3, 1, 16, 16), dtype=np.float32)
-                exp = np.zeros((3, 8), dtype=np.float32)
-                for _ in range(4):
-                    batcher.submit(obs, exp)
-            finally:
-                batcher.close()
-        assert state.pairs, "expected the batcher to exercise lock nesting"
+            metrics = MetricsRegistry()
+            tracer = SpanTracer(1, metrics)
+            tracer.begin_frame(0)
+            with tracer.span("plan.execute"):
+                with tracer.span("forward.text"):
+                    pass
+            metrics.snapshot()
+        assert state.summary()["acquires"] > 0
         assert state.check() == []
 
 
@@ -211,10 +202,11 @@ class TestSoakParity:
         self, text_model, image_model
     ):
         """The tentpole acceptance gate: arming witness-san changes no
-        verdict bit.  A two-scenario slice runs on the shared executor
-        with two driver threads (real flusher + admission concurrency),
-        once disarmed and once armed; session fingerprints must match
-        exactly and the armed run must stay violation-free."""
+        verdict bit.  A two-scenario slice runs on the
+        ``batched-inline-frozen`` combo on two threads (concurrent
+        sessions sharing one service), once disarmed and once armed;
+        session fingerprints must match exactly and the armed run must
+        stay violation-free."""
         fingerprints = {}
         for armed in (False, True):
             if armed:
@@ -229,14 +221,14 @@ class TestSoakParity:
 
 
 def _drive_slice(text_model, image_model) -> dict:
-    """Two scenarios through a shared-executor service, two threads."""
+    """Two scenarios through one inline service, two threads."""
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.core.service import WitnessService
     from repro.crypto import CertificateAuthority
-    from repro.scenarios import ScenarioSpec, baseline_combo, run_scenario
+    from repro.scenarios import ScenarioSpec, combo_by_name, run_scenario
 
-    combo = baseline_combo("shared", "frozen")
+    combo = combo_by_name("batched-inline-frozen")
     service = WitnessService(
         CertificateAuthority(),
         combo.config(None),

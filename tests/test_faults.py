@@ -1,27 +1,18 @@
-"""Deterministic fault injection, supervised recovery, fail-closed ladder.
+"""Deterministic fault injection and the fail-closed ladder.
 
-Four layers of coverage:
+Three layers of coverage:
 
 * unit tests of the plan/injector machinery (validation, seeded
   determinism, call/fire accounting) and the fail-closed verdict
   sanitization;
-* runtime recovery: the supervised flusher restarts after a crash
-  without losing a waiting submission, flush errors surface as typed
-  per-submitter :class:`RuntimeFlushError`\\ s, the admission gate raises
-  typed :class:`AdmissionTimeout`, and the executor's degradation ladder
-  lands every faulted submission on a correct inline forward;
 * verifier hardening: NaN logits sanitize to mismatch, raising caches
   degrade to misses with identical verdicts, a raising forward is
   retried once;
 * session fail-closed behavior: unrecoverable faults become violations
-  and refusals, repeated ones quarantine the session, and
-  ``ValidationExecutor.close`` stays deadlock-free with submissions in
-  flight.
+  and refusals, and repeated ones quarantine the session.
 """
 
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -36,24 +27,13 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    admission_timeout_plan,
+    RuntimeFaultError,
     cache_fault_plan,
-    flusher_crash_plan,
     forward_raise_plan,
     nan_logits_plan,
     shipped_plans,
 )
 from repro.nn.infer import fail_closed_verdicts
-from repro.runtime import (
-    AdmissionGate,
-    AdmissionTimeout,
-    HealthTracker,
-    MicroBatcher,
-    RuntimeFaultError,
-    RuntimeFlushError,
-    RuntimeMetrics,
-    ValidationExecutor,
-)
 from repro.server.webserver import WitnessedSite
 from repro.web import HonestUser
 
@@ -63,9 +43,8 @@ from tests.conftest import make_transfer_page
 class FakeModel:
     """Row-independent deterministic stand-in for a matcher model."""
 
-    def __init__(self, delay: float = 0.0, fail_first: int = 0):
+    def __init__(self, fail_first: int = 0):
         self.forwards = 0
-        self.delay = delay
         self.fail_first = fail_first
         self._lock = threading.Lock()
 
@@ -74,13 +53,7 @@ class FakeModel:
             self.forwards += 1
             if self.forwards <= self.fail_first:
                 raise ValueError("synthetic forward failure")
-        if self.delay:
-            time.sleep(self.delay)
         return observed.reshape(len(observed), -1).sum(axis=1) > 0
-
-
-def rows(n: int, value: float = 1.0) -> np.ndarray:
-    return np.full((n, 1, 2, 2), value, dtype=np.float32)
 
 
 def plan_of(*specs, **kwargs) -> FaultPlan:
@@ -120,8 +93,8 @@ class TestFaultPlan:
 
     def test_shipped_plans_are_valid_and_named(self):
         plans = shipped_plans()
-        assert len(plans) == 8
-        assert len({p.name for p in plans}) == 8
+        assert len(plans) == 5
+        assert len({p.name for p in plans}) == 5
         for plan in plans:
             assert plan.honest_expectation in ("identical", "certify", "refuse")
 
@@ -156,12 +129,6 @@ class TestFaultInjector:
         inj = FaultInjector(plan_of(FaultSpec("cache.error", rate=1.0)))
         assert not inj.decide("infer.raise")
         assert inj.snapshot()["points"] == {"cache.error": {"calls": 0, "fires": 0}}
-
-    def test_fire_raises_injected_fault(self):
-        inj = FaultInjector(plan_of(FaultSpec("runtime.flusher_crash", at_calls=(1,))))
-        with pytest.raises(InjectedFault):
-            inj.fire("runtime.flusher_crash")
-        inj.fire("runtime.flusher_crash")  # call 2: not scheduled
 
     def test_injected_faults_are_runtime_fault_errors(self):
         assert issubclass(InjectedFault, RuntimeFaultError)
@@ -213,162 +180,6 @@ class TestSamplerDefer:
     def test_defer_rejects_negative(self):
         with pytest.raises(ValueError, match=">= 0"):
             ScreenshotSampler(0.0).defer(0.0, -1.0)
-
-
-class TestTypedRuntimeErrors:
-    def test_flush_error_is_per_submitter_with_cause(self):
-        batcher = MicroBatcher(
-            "text", FakeModel(fail_first=10).predict, metrics=RuntimeMetrics()
-        )
-        try:
-            errors = []
-            for _ in range(2):
-                with pytest.raises(RuntimeFlushError) as info:
-                    batcher.submit(rows(2), rows(2))
-                errors.append(info.value)
-            first, second = errors
-            # Typed wrapper, original failure chained, and a fresh
-            # exception object per submitter — never one shared instance
-            # raised across threads.
-            assert isinstance(first.__cause__, ValueError)
-            assert "synthetic forward failure" in str(first)
-            assert first is not second
-            assert not first.timeout
-        finally:
-            batcher.close()
-
-    def test_flush_timeout_is_typed_and_counted(self):
-        metrics = RuntimeMetrics()
-        batcher = MicroBatcher(
-            "text", FakeModel(delay=0.5).predict, metrics=metrics, submit_timeout=0.05
-        )
-        try:
-            with pytest.raises(RuntimeFlushError) as info:
-                batcher.submit(rows(1), rows(1))
-            assert info.value.timeout
-            assert metrics.counter("flush_timeouts.text").value == 1
-        finally:
-            batcher.close()
-
-    def test_admission_timeout_is_typed(self):
-        gate = AdmissionGate(4, policy="block", block_timeout=0.05)
-        assert gate.acquire(4)
-        with pytest.raises(AdmissionTimeout) as info:
-            gate.acquire(2)
-        assert isinstance(info.value, RuntimeFaultError)
-        gate.release(4)
-        assert gate.acquire(2)
-
-
-class TestSupervisedFlusher:
-    def test_crash_recovery_loses_no_submission(self):
-        """The flusher dies twice mid-fleet; every waiting session still
-        gets its verdicts, and the supervisor accounting shows it."""
-        metrics = RuntimeMetrics()
-        health = HealthTracker()
-        faults = FaultInjector(flusher_crash_plan())
-        batcher = MicroBatcher(
-            "text",
-            FakeModel().predict,
-            metrics=metrics,
-            faults=faults,
-            health=health,
-            flush_deadline=0.005,
-        )
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(batcher.submit, rows(3), rows(3)) for _ in range(8)]
-                results = [f.result(timeout=10) for f in futures]
-            for verdicts, forwards in results:
-                assert list(verdicts) == [True, True, True]
-                assert forwards >= 0
-        finally:
-            batcher.close()
-        snap = health.snapshot()
-        assert snap["flusher_crashes"] == 2
-        assert snap["flusher_restarts"] == 2
-        assert metrics.counter("flusher_crashes.text").value == 2
-        assert faults.total_fired == 2
-        # Recovered: flushes succeeded after the restarts.
-        assert snap["state"] in ("healthy", "degraded")
-
-    def test_health_tracker_states(self):
-        health = HealthTracker(fail_after=3)
-        assert health.state == "healthy"
-        health.note_degraded()
-        assert health.state == "degraded"
-        for _ in range(3):
-            health.note_flusher_crash()
-        assert health.state == "failed"
-        health.note_flush_ok()  # a clean flush ends the crash streak
-        assert health.state == "degraded"
-
-
-class TestDegradationLadder:
-    def test_injected_admission_timeout_degrades_to_inline(self):
-        faults = FaultInjector(admission_timeout_plan())
-        executor = ValidationExecutor(FakeModel(), FakeModel(), faults=faults)
-        with executor:
-            verdicts, forwards = executor.predict("text", rows(4), rows(4))
-            assert list(verdicts) == [True] * 4 and forwards == 1
-            stats = executor.stats()
-            assert stats["counters"]["admission_timeouts.text"] == 1
-            assert stats["counters"]["degraded_forwards.text"] == 1
-            assert stats["health"]["state"] == "degraded"
-            # The seam fired once; later submissions ride the normal path.
-            verdicts, _ = executor.predict("text", rows(2), rows(2))
-            assert list(verdicts) == [True, True]
-
-    def test_flush_failure_retries_then_inlines(self):
-        # Fails forwards 1 and 2: the first flush errors, the retry flush
-        # errors too, and the inline fallback (forward 3) succeeds.
-        executor = ValidationExecutor(FakeModel(fail_first=2), FakeModel())
-        with executor:
-            verdicts, _ = executor.predict("text", rows(3), rows(3))
-            assert list(verdicts) == [True] * 3
-            stats = executor.stats()
-            assert stats["counters"]["flush_retries.text"] == 1
-            assert stats["counters"]["degraded_forwards.text"] == 1
-            assert stats["health"]["state"] == "degraded"
-
-    def test_failed_runtime_skips_queue_entirely(self):
-        executor = ValidationExecutor(FakeModel(), FakeModel())
-        with executor:
-            for _ in range(executor.health.fail_after):
-                executor.health.note_flusher_crash()
-            assert executor.health.state == "failed"
-            verdicts, _ = executor.predict("text", rows(2), rows(2))
-            assert list(verdicts) == [True, True]
-            assert executor.stats()["counters"]["degraded_forwards.text"] == 1
-
-
-class TestExecutorClose:
-    def test_close_with_inflight_submissions_no_deadlock(self):
-        executor = ValidationExecutor(
-            FakeModel(delay=0.05), FakeModel(), flush_deadline_ms=1.0
-        )
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(executor.predict, "text", rows(2), rows(2)) for _ in range(4)]
-            time.sleep(0.01)  # let submissions reach the batcher
-            executor.close(timeout=5.0)
-            for f in futures:
-                try:
-                    verdicts, _ = f.result(timeout=10)
-                    assert list(verdicts) == [True, True]
-                except RuntimeError:
-                    pass  # racing close is allowed to refuse, never to hang
-
-    def test_close_is_idempotent(self):
-        executor = ValidationExecutor(FakeModel(), FakeModel())
-        executor.close()
-        executor.close()
-        assert executor.closed
-
-    def test_late_submitter_gets_clean_error(self):
-        executor = ValidationExecutor(FakeModel(), FakeModel())
-        executor.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            executor.predict("text", rows(1), rows(1))
 
 
 class TestVerifierHardening:

@@ -4,8 +4,9 @@ Covers the PR-4 tentpole guarantees:
 
 * decision parity between the frozen and training forward paths, both at
   the model level (randomized honest/tampered matcher inputs through
-  trained models) and at the verifier level (frame-style unit inputs
-  through ``inference="frozen"`` vs ``"training"`` verifiers);
+  trained models) and at the verifier level (the frozen verifiers'
+  verdicts on frame-style unit inputs vs the training forward
+  ``model.predict(..., frozen=False)`` on the same rows);
 * workspace arenas: shape-keyed reuse (repeated shapes allocate
   nothing), thread confinement (one arena per thread), LRU eviction
   under a shape storm;
@@ -21,9 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.nn.data import CHARSET
+from repro.nn.data import CHAR_TO_INDEX, CHARSET, collapse_char
 from repro.nn.infer import (
-    INFERENCE_MODES,
     FrozenMatcher,
     FrozenNet,
     FrozenPairMatcher,
@@ -49,6 +49,27 @@ def _rand_image_inputs(rng, n):
         rng.random((n, 1, 32, 32), dtype=np.float32),
         rng.random((n, 1, 32, 32), dtype=np.float32),
     )
+
+
+def _unit_rows(tiles) -> np.ndarray:
+    """``(N, 1, 32, 32)`` model rows from 0..255 tiles, as the verifiers
+    normalize them."""
+    return (np.stack(tiles).astype(np.float32) / 255.0)[:, None]
+
+
+def _training_text_verdicts(model, tiles, chars) -> np.ndarray:
+    """The training forward's verdicts on the rows a text verifier feeds."""
+    exp = np.zeros((len(chars), len(CHAR_TO_INDEX)), dtype=np.float32)
+    for row, char in enumerate(chars):
+        exp[row, CHAR_TO_INDEX[collapse_char(char)]] = 1.0
+    return model.predict(_unit_rows(tiles), exp, frozen=False)
+
+
+def _training_image_verdicts(model, pairs) -> np.ndarray:
+    """The training forward's verdicts on the rows an image verifier feeds."""
+    observed = _unit_rows([o for o, _e in pairs])
+    expected = _unit_rows([e for _o, e in pairs])
+    return model.predict(observed, expected, frozen=False)
 
 
 class TestForwardParity:
@@ -132,7 +153,7 @@ class TestDecisionParityProperty:
 
     def test_verifier_verdicts_identical(self, text_model, image_model):
         """Property: for randomized honest and tampered unit inputs, the
-        frozen and training verifiers return the same verdict for every
+        frozen verifiers return the training forward's verdict for every
         unit, across many seeds."""
         from repro.core.verifiers import ImageVerifier, TextVerifier
         from repro.nn.data import image_dataset, text_dataset
@@ -152,10 +173,10 @@ class TestDecisionParityProperty:
                     noise = rng.normal(0, 90, tiles[j].shape)
                     tiles[j] = np.clip(tiles[j] + noise, 0, 255)
             chars = [CHARSET[int(i) % len(CHARSET)] for i in pick]
-            frozen_v = TextVerifier(text_model, batched=True, inference="frozen")
-            training_v = TextVerifier(text_model, batched=True, inference="training")
+            frozen_v = TextVerifier(text_model, batched=True)
             assert np.array_equal(
-                frozen_v.verify_tiles(tiles, chars), training_v.verify_tiles(tiles, chars)
+                frozen_v.verify_tiles(tiles, chars),
+                _training_text_verdicts(text_model, tiles, chars),
             ), f"text verdicts diverged on trial {trial}"
 
         obs_i, exp_i, _ = image_dataset(stacks=stacks, seed=22)
@@ -165,10 +186,9 @@ class TestDecisionParityProperty:
                 (np.asarray(obs_i[i, 0] * 255.0), np.asarray(exp_i[i, 0] * 255.0))
                 for i in pick
             ]
-            frozen_v = ImageVerifier(image_model, batched=True, inference="frozen")
-            training_v = ImageVerifier(image_model, batched=True, inference="training")
+            frozen_v = ImageVerifier(image_model, batched=True)
             assert np.array_equal(
-                frozen_v.verify_pairs(pairs), training_v.verify_pairs(pairs)
+                frozen_v.verify_pairs(pairs), _training_image_verdicts(image_model, pairs)
             ), f"image verdicts diverged on trial {trial}"
 
     def test_sequential_mode_verdicts_identical(self, text_model):
@@ -179,21 +199,43 @@ class TestDecisionParityProperty:
         obs, _exp, _ = text_dataset(font_registry()[:1], seed=23)
         tiles = [np.asarray(obs[i, 0] * 255.0) for i in range(12)]
         chars = [CHARSET[i % len(CHARSET)] for i in range(12)]
-        frozen_v = TextVerifier(text_model, batched=False, inference="frozen")
-        training_v = TextVerifier(text_model, batched=False, inference="training")
+        frozen_v = TextVerifier(text_model, batched=False)
         assert np.array_equal(
-            frozen_v.verify_tiles(tiles, chars), training_v.verify_tiles(tiles, chars)
+            frozen_v.verify_tiles(tiles, chars),
+            _training_text_verdicts(text_model, tiles, chars),
         )
 
-    def test_session_decisions_identical(self, text_model, image_model):
-        """A full witnessed session certifies identically on both engines."""
-        from benchmarks.harness import run_interactive_session
+    def test_first_frame_plan_verdicts_match_training(self, text_model, image_model):
+        """Every unit of a real first frame's validation plan: the frozen
+        verifiers' verdicts equal the training forward's on the same rows."""
+        import copy
 
-        for inference in INFERENCE_MODES:
-            decision, report, _ = run_interactive_session(
-                0, text_model, image_model, batched=True, inference=inference
-            )
-            assert decision.certified, f"inference={inference!r} failed to certify"
+        from repro.core.display import DisplayValidator
+        from repro.core.verifiers import ImageVerifier, TextVerifier
+        from repro.datasets.forms import jotform_page
+        from repro.server.generate import build_vspec
+        from repro.web.browser import Browser
+        from repro.web.hypervisor import Machine
+
+        page = jotform_page(2)  # a form with both text and image entries
+        vspec = build_vspec(copy.deepcopy(page), "jf-2")
+        machine = Machine(640, min(600, vspec.height))
+        Browser(machine, copy.deepcopy(page)).paint()
+        text_v = TextVerifier(text_model, batched=True)
+        image_v = ImageVerifier(image_model, batched=True)
+        validator = DisplayValidator(vspec, text_v, image_v)
+        validator.validate(machine.sample_framebuffer().pixels)
+        plan = validator._plan
+        assert plan.text_unit_count > 0 and plan.image_pair_count > 0
+        tiles = list(plan.text_tiles)
+        assert np.array_equal(
+            text_v.verify_tiles(tiles, plan.text_chars),
+            _training_text_verdicts(text_model, tiles, plan.text_chars),
+        )
+        pairs = list(zip(plan.image_observed, plan.image_expected))
+        assert np.array_equal(
+            image_v.verify_pairs(pairs), _training_image_verdicts(image_model, pairs)
+        )
 
 
 class TestWorkspaceArena:
@@ -258,26 +300,6 @@ class TestWorkspaceArena:
         assert len(obs_arenas) >= 4
         threads = [a["thread"] for a in obs_arenas]
         assert len(threads) == len(set(threads))
-
-    def test_runtime_flusher_threads_get_own_workspaces(self):
-        """Shared-runtime flushes run on dedicated flusher threads: after
-        traffic, the frozen twin's arenas are exactly the flusher's (the
-        submitting thread only enqueues).  Fresh models keep the twin's
-        arena registry hermetic — the zoo fixtures' twins accumulate (and
-        prune) arenas from earlier suite activity."""
-        from repro.runtime.executor import ValidationExecutor
-
-        text_model = build_text_matcher(seed=7)
-        image_model = build_image_matcher(seed=11)
-        executor = ValidationExecutor(text_model, image_model, inference="frozen")
-        rng = np.random.default_rng(11)
-        obs, exp = _rand_text_inputs(rng, 8)
-        obs_i, exp_i = _rand_image_inputs(rng, 6)
-        with executor:
-            executor.predict("text", obs, exp)
-            executor.predict("image", obs_i, exp_i)
-        arenas = frozen_twin(text_model).workspace_stats()["observed"]
-        assert len(arenas) == 1 and "flusher" in arenas[0]["thread"]
 
 
 class TestConstantFolding:
@@ -406,11 +428,3 @@ class TestFreezeLifecycle:
         assert np.allclose(
             rebuilt.forward(obs, exp), model.forward(obs, exp), rtol=1e-4, atol=1e-5
         )
-
-    def test_witness_config_validates_inference(self):
-        from repro.core.service import WitnessConfig
-
-        assert WitnessConfig().inference == "frozen"
-        WitnessConfig(inference="training")
-        with pytest.raises(ValueError, match="inference"):
-            WitnessConfig(inference="compiled")

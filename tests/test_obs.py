@@ -16,6 +16,8 @@ import json
 import re
 import threading
 
+import pytest
+
 from repro.core.caches import DigestCache
 from repro.core.service import WitnessConfig, WitnessService
 from repro.crypto import CertificateAuthority
@@ -29,8 +31,7 @@ from repro.obs import (
     maybe_span,
     span_snapshots,
 )
-from repro.runtime import RuntimeMetrics
-from repro.runtime.metrics import Histogram
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.scenarios.soak import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
@@ -40,6 +41,22 @@ from repro.scenarios.spec import ScenarioSpec
 
 def _histogram(bounds):
     return Histogram(threading.Lock(), bounds)
+
+
+class TestMetrics:
+    def test_histogram_snapshot(self):
+        metrics = MetricsRegistry()
+        hist = metrics.histogram("h", buckets=(1, 10))
+        for v in (0.5, 5, 100):
+            hist.observe(v)
+        h = metrics.snapshot()["histograms"]["h"]
+        assert h["count"] == 3 and h["min"] == 0.5 and h["max"] == 100
+        assert h["buckets"] == {"le_1": 1, "le_10": 1, "le_inf": 1}
+        assert h["mean"] == pytest.approx((0.5 + 5 + 100) / 3)
+
+    def test_histograms_are_create_or_get(self):
+        metrics = MetricsRegistry()
+        assert metrics.histogram("y") is metrics.histogram("y")
 
 
 def test_histogram_percentile_empty():
@@ -125,7 +142,7 @@ def test_maybe_span_disabled_is_the_shared_noop():
 
 
 def test_maybe_span_enabled_times_the_stage():
-    metrics = RuntimeMetrics()
+    metrics = MetricsRegistry()
     tracer = SpanTracer(1, metrics)
     with maybe_span(tracer, "plan.collect"):
         pass
@@ -137,7 +154,7 @@ def test_maybe_span_enabled_times_the_stage():
 
 
 def test_span_tree_nests_by_thread_stack():
-    metrics = RuntimeMetrics()
+    metrics = MetricsRegistry()
     recorder = FlightRecorder(capacity=4)
     tracer = SpanTracer(7, metrics, recorder=recorder)
     tracer.begin_frame(0)
@@ -225,14 +242,6 @@ def test_tracing_preserves_fingerprint(text_model, image_model):
     assert on.fingerprint == off.fingerprint
 
 
-def test_tracing_preserves_fingerprint_shared_executor(text_model, image_model):
-    off, _ = _run(
-        SMALL_SPEC, text_model, image_model, executor="shared", tracing=False
-    )
-    on, _ = _run(SMALL_SPEC, text_model, image_model, executor="shared", tracing=True)
-    assert on.fingerprint == off.fingerprint
-
-
 def test_traced_session_produces_canonical_spans(text_model, image_model):
     outcome, service = _run(SMALL_SPEC, text_model, image_model, tracing=True)
     snaps = span_snapshots(service.span_metrics)
@@ -253,24 +262,6 @@ def test_traced_session_produces_canonical_spans(text_model, image_model):
             # Parentage is either the synthetic root or another stage
             # recorded in this frame's tree vocabulary.
             assert span["parent"] in STAGES
-
-
-def test_traced_spans_thread_confinement_shared_executor(text_model, image_model):
-    _, service = _run(
-        SMALL_SPEC, text_model, image_model, executor="shared", tracing=True
-    )
-    recorder = service.flight_recorder
-    session_thread = threading.current_thread().name
-    cross = [
-        span
-        for frame in recorder.snapshot()
-        for span in frame["spans"]
-        if span["thread"] != session_thread
-    ]
-    # Any span recorded off the session thread started from an empty
-    # thread-local stack and must parent to the synthetic root.
-    for span in cross:
-        assert span["parent"] == ROOT_STAGE
 
 
 def test_untraced_service_has_no_obs_state(text_model, image_model):
@@ -339,17 +330,16 @@ def test_rejected_decision_dumps_flight_artifact(text_model, image_model, tmp_pa
 # -- telemetry hub ---------------------------------------------------------
 
 
-def test_runtime_stats_sections_without_executor(text_model, image_model):
-    # Inline config: the shared executor is never built, but session and
-    # cache stats still merge into runtime_stats().
+def test_service_stats_sections(text_model, image_model):
     _, service = _run(SMALL_SPEC, text_model, image_model, tracing=False)
-    stats = service.runtime_stats()
+    stats = service.stats()
+    assert set(stats) == {"sessions", "cache", "cache_hit_rate", "health"}
     assert stats["sessions"]["total_opened"] >= 1
     assert stats["cache"]["hits"] == service.shared_cache.hits
     assert set(stats["cache"]) == {
         "entries", "capacity", "hits", "misses", "evictions", "hit_rate",
     }
-    assert stats["runtime"] is None
+    assert stats["health"]["state"] == "healthy"
 
 
 def test_telemetry_snapshot_sections_and_json(text_model, image_model):

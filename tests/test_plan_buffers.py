@@ -4,8 +4,8 @@ Covers the :mod:`repro.core.planbuf` pool layer (reuse across frames,
 thread confinement, LRU bounding, growth semantics), the retry-ring
 buffer reuse in :meth:`TextVerifier.execute_plan`, and — the load-bearing
 property — that moving unit inputs into pooled buffers changed nothing
-about verdicts: batched vs sequential and shared vs inline stay
-bit-identical over randomized honest/tampered frames.
+about verdicts: batched, sequential and concurrently-threaded validation
+stay bit-identical over randomized honest/tampered frames.
 """
 
 import threading
@@ -16,11 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.caches import DigestCache
-from repro.core.display import DisplayValidator
 from repro.core.planbuf import PLAN_DTYPE, PlanBuffers, thread_pool
-from repro.core.verifiers import TILE, ImageVerifier, TextVerifier, ValidationPlan
-from repro.runtime import ValidationExecutor
+from repro.core.verifiers import TILE, ValidationPlan
 
 from tests.test_validation_plan import _render, _tampered_frame, _validator
 
@@ -162,46 +159,35 @@ class TestPlanReuse:
 # ---------------------------------------------------------------------------
 
 
-def _shared_validator(vspec, text_model, image_model, executor) -> DisplayValidator:
-    cache = DigestCache()
-    return DisplayValidator(
-        vspec,
-        TextVerifier(text_model, batched=True, cache=cache.scoped("text"), runtime=executor),
-        ImageVerifier(image_model, batched=True, cache=cache.scoped("image"), runtime=executor),
-        runtime=executor,
-    )
-
-
 class TestPooledPathParity:
     @settings(max_examples=3, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
         kind=st.sampled_from(["none", "fill", "text", "shift"]),
     )
-    def test_batched_sequential_and_shared_inline_agree(
+    def test_batched_sequential_and_threaded_agree(
         self, text_model, image_model, seed, kind
     ):
-        """All four execution strategies agree verdict-for-verdict."""
+        """Batched, sequential, and two concurrent batched validators on
+        their own threads (each with its own thread pool) agree
+        verdict-for-verdict."""
         rng = np.random.default_rng(seed)
         vspec, machine, _browser = _render(seed % 23)
         frame = _tampered_frame(machine, vspec, kind, rng)
 
         batched = _validator(vspec, text_model, image_model, batched=True).validate(frame)
         sequential = _validator(vspec, text_model, image_model, batched=False).validate(frame)
-        with ValidationExecutor(
-            text_model, image_model, max_batch_units=64, flush_deadline_ms=1.0
-        ) as executor:
-            with ThreadPoolExecutor(max_workers=2) as tpool:
-                shared = list(
-                    tpool.map(
-                        lambda _i: _shared_validator(
-                            vspec, text_model, image_model, executor
-                        ).validate(frame),
-                        range(2),
-                    )
+        with ThreadPoolExecutor(max_workers=2) as tpool:
+            threaded = list(
+                tpool.map(
+                    lambda _i: _validator(vspec, text_model, image_model, batched=True).validate(
+                        frame
+                    ),
+                    range(2),
                 )
+            )
 
-        for other in [sequential, *shared]:
+        for other in [sequential, *threaded]:
             assert other.ok == batched.ok
             assert other.failures == batched.failures
             assert other.offset_y == batched.offset_y

@@ -13,7 +13,6 @@ from repro.scenarios import (
     ENGINE_COMBOS,
     SCRIPTS,
     ScenarioSpec,
-    baseline_combo,
     combo_by_name,
     default_soak_specs,
     run_soak,
@@ -101,16 +100,16 @@ class TestGenerator:
 
 
 class TestCombos:
-    def test_six_valid_combos(self):
-        assert len(ENGINE_COMBOS) == 6
+    def test_two_combos(self):
+        assert [c.name for c in ENGINE_COMBOS] == [
+            "batched-inline-frozen",
+            "sequential-inline-frozen",
+        ]
         for combo in ENGINE_COMBOS:
-            config = combo.config()  # must validate (shared requires batched)
-            assert config.executor == combo.executor
-            assert config.inference == combo.inference
+            assert combo.config().batched == combo.batched
 
-    def test_baseline_combo_matches_knobs(self):
-        assert baseline_combo("shared", "training").name == "batched-shared-training"
-        assert baseline_combo().name == "batched-inline-frozen"
+    def test_combo_by_name(self):
+        assert combo_by_name("sequential-inline-frozen") is ENGINE_COMBOS[1]
         with pytest.raises(KeyError):
             combo_by_name("batched-quantum-frozen")
 
@@ -133,7 +132,7 @@ class TestSoakDriver:
                 ScenarioSpec("letterbox", script="tampered"),
                 ScenarioSpec("letterbox", script="abandoning"),
             ],
-            combos=(ENGINE_COMBOS[0], combo_by_name("sequential-inline-training")),
+            combos=(ENGINE_COMBOS[0], combo_by_name("sequential-inline-frozen")),
             text_model=text_model,
             image_model=image_model,
         )
@@ -165,50 +164,46 @@ class TestSoakDriver:
         res = run_soak(
             [ScenarioSpec("letterbox")],
             combos=(ENGINE_COMBOS[0], ENGINE_COMBOS[1]),
-            baseline="batched-inline-training",
+            baseline="sequential-inline-frozen",
             text_model=text_model,
             image_model=image_model,
         )
-        assert res.baseline == "batched-inline-training"
-        assert res.combos[0] == "batched-inline-training"
+        assert res.baseline == "sequential-inline-frozen"
+        assert res.combos[0] == "sequential-inline-frozen"
         assert res.ok, res.summary()
 
 
 class TestConcurrentFleets:
-    def test_threaded_fleet_fingerprints_match_inline(self, text_model, image_model):
-        """Driving scenario fleets concurrently through the shared runtime
-        coalesces their rounds into cross-session micro-batches — and the
-        fingerprints must *still* match single-threaded inline execution,
-        because per-session verdicts never depend on batch composition."""
+    def test_threaded_fleet_fingerprints_match_across_combos(self, text_model, image_model):
+        """Driving scenario fleets concurrently through one service (shared
+        models and digest cache, each session inline on its own thread)
+        must not change a fingerprint: both combos run threaded and still
+        agree."""
         res = run_soak(
             [
                 ScenarioSpec("letterbox", script="honest"),
                 ScenarioSpec("letterbox", script="tampered", seed=1),
                 ScenarioSpec("letterbox", script="abandoning", seed=2),
             ],
-            combos=(ENGINE_COMBOS[0], combo_by_name("batched-shared-frozen")),
+            combos=ENGINE_COMBOS,
             text_model=text_model,
             image_model=image_model,
             threads=3,
         )
         assert res.ok, res.summary()
-        assert res.sessions_per_combo["batched-shared-frozen"] == 3
+        assert res.sessions_per_combo == {c.name: 3 for c in ENGINE_COMBOS}
 
 
 class TestScrollRefocusParity:
     def test_interleaved_scroll_focus_type_parity(self, text_model, image_model):
         """Satellite: a session with interleaved scroll/focus/type events
         (the tall form's fill + scroll-back-and-retype revisit) yields
-        identical verdicts batched vs sequential and frozen vs training."""
+        identical verdicts batched vs sequential."""
         res = run_soak(
             [ScenarioSpec("tall-form", script="honest", seed=1)],
-            combos=(
-                combo_by_name("batched-inline-frozen"),
-                combo_by_name("sequential-inline-frozen"),
-                combo_by_name("batched-inline-training"),
-            ),
+            combos=ENGINE_COMBOS,
             text_model=text_model,
             image_model=image_model,
         )
         assert res.ok, res.summary()
-        assert res.certified_total == 3  # one honest certification per combo
+        assert res.certified_total == 2  # one honest certification per combo

@@ -6,12 +6,13 @@ per-session teardown hygiene, event hooks, and the namespaced
 cross-session digest cache.
 """
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.caches import DigestCache
-from repro.core.service import WitnessConfig, WitnessService
+from repro.core.service import SessionRegistry, WitnessConfig, WitnessService
 from repro.core.session import install_vwitness
 from repro.crypto import CertificateAuthority
 from repro.server import WebServer, WitnessedSite
@@ -85,7 +86,7 @@ class TestMultiSession:
         before = zoo.model_registry_stats()
         site = make_site(text_model, image_model)
         clients = [site.connect("transfer") for _ in range(8)]
-        assert site.service.registry.peak_active >= 8
+        assert site.service.registry.peak_active == 8
         assert site.service.active_sessions == 8
 
         def drive(pair):
@@ -423,3 +424,32 @@ class TestCacheNamespacing:
         HonestUser(second.browser).toggle_checkbox("confirm", True)
         second.submit()
         assert shared.hits > hits_before
+
+
+class TestRegistryStats:
+    def test_stats_snapshot_is_consistent_under_churn(self):
+        registry = SessionRegistry()
+
+        class StubSession:
+            id = 0
+
+        def churn():
+            for _ in range(200):
+                session = StubSession()
+                session.id = registry.register(session)
+                snap = registry.stats()
+                # A snapshot can never tear: every opened session is
+                # either active or was active before this peak.
+                assert snap["peak_active"] >= snap["active"]
+                assert snap["total_opened"] >= snap["active"]
+                registry.unregister(session)
+
+        threads = [threading.Thread(target=churn) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10.0)
+        final = registry.stats()
+        assert final == {"active": 0, "total_opened": 800, "peak_active": final["peak_active"]}
+        assert registry.total_opened == 800
+        assert 1 <= registry.peak_active <= 4

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.caches import DigestCache
 from repro.core.display import DisplayValidator
-from repro.core.verifiers import ImageVerifier, TextVerifier, ValidationPlan
+from repro.core.verifiers import ImageVerifier, TextVerifier, ValidationPlan, forwards_for
 from repro.datasets.forms import jotform_page
 from repro.server.generate import build_vspec
 from repro.raster.stacks import stack_registry
@@ -194,3 +194,18 @@ class TestPlanUnits:
         cell_range = plan.add_cells(canvas.pixels, cells)
         planned = verifier.execute_plan(plan)[cell_range]
         assert np.array_equal(direct, planned)
+
+
+class TestForwardAccounting:
+    def test_forwards_for(self):
+        assert forwards_for(0, 512) == 0
+        assert forwards_for(1, None) == 1
+        assert forwards_for(512, 512) == 1
+        assert forwards_for(513, 512) == 2
+
+    def test_chunked_round_charges_one_forward_per_chunk(self, text_model):
+        verifier = TextVerifier(text_model, batched=True, chunk_size=4)
+        tiles = [np.full((32, 32), 20.0 * i) for i in range(9)]
+        verifier.verify_tiles(tiles, ["a"] * 9)
+        assert verifier.invocations == 9
+        assert verifier.forwards == 3  # ceil(9 / 4)
