@@ -1,9 +1,11 @@
 """Benchmark fixtures and result recording.
 
 Every benchmark regenerates one of the paper's tables or figures.  The
-formatted reproduction table is printed *and* written to
-``benchmarks/results/<name>.txt`` so the numbers survive pytest's output
-capturing; EXPERIMENTS.md collects them.
+formatted reproduction table is always printed; with
+``REPRO_BENCH_RECORD=1`` it is also written to
+``benchmarks/results/<name>.txt`` (and its key metrics merged into
+``bench_summary.json``).  Without it nothing under ``results/`` is
+touched, so a plain test run never rewrites the tracked record.
 
 Scale knob: ``REPRO_BENCH_SCALE`` (default ``small``) controls dataset
 sizes so the whole suite stays laptop-friendly; ``paper`` uses sizes
@@ -70,10 +72,18 @@ def image_model():
     return get_image_model()
 
 
+def recording() -> bool:
+    """Whether this run re-records ``results/`` (``REPRO_BENCH_RECORD=1``)."""
+    return os.environ.get("REPRO_BENCH_RECORD") == "1"
+
+
 def record_result(name: str, content: str) -> str:
-    """Print a reproduction table and persist it under results/."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
+    """Print a reproduction table; persist it under results/ when recording."""
     path = os.path.join(RESULTS_DIR, f"{name}.txt")
+    if not recording():
+        print(f"\n{content}\n[not recorded: set REPRO_BENCH_RECORD=1 to write {path}]")
+        return path
+    os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(content.rstrip() + "\n")
     print(f"\n{content}\n[written to {path}]")
@@ -83,6 +93,9 @@ def record_result(name: str, content: str) -> str:
 def record_metrics(name: str, metrics: dict) -> str:
     """Merge one benchmark's key metrics into ``bench_summary.json``.
 
+    Only when recording (``REPRO_BENCH_RECORD=1``); otherwise a no-op
+    that still returns the summary's path.
+
     Each benchmark owns one top-level key; re-running a single benchmark
     updates only its own entry, so the summary accumulates across partial
     runs and its diffs track the perf trajectory PR over PR.
@@ -91,6 +104,8 @@ def record_metrics(name: str, metrics: dict) -> str:
     accumulated record of *every prior* benchmark run, so a crash or an
     unserializable metric mid-dump must never truncate it.
     """
+    if not recording():
+        return SUMMARY_PATH
     os.makedirs(RESULTS_DIR, exist_ok=True)
     data: dict = {}
     if os.path.exists(SUMMARY_PATH):

@@ -39,7 +39,7 @@ from repro.raster.text import char_advance
 from repro.vision.components import Rect
 from repro.vision.image import DTYPE as RASTER_DTYPE
 from repro.vision.image import Image
-from repro.vision.match import best_vertical_offset
+from repro.vision.match import PageSpectrum, best_vertical_offset
 from repro.vspec.spec import CharCell, ManifestEntry, VSpec
 from repro.web.render import DEFAULT_POF, POFStyle, draw_input_value
 
@@ -99,8 +99,12 @@ class DisplayValidator:
         #: Optional :class:`repro.obs.spans.SpanTracer` timing the
         #: collect/execute/scatter phases; ``None`` = no-op fast path.
         self.tracer = tracer
+        #: Viewport search targets: the pristine page, the page under the
+        #: tracked state (keyed by it) and each nested scrollable's.
+        self._pristine = PageSpectrum(vspec.expected)
         self._stateful_key: tuple | None = None
-        self._stateful_expected: np.ndarray | None = None
+        self._stateful: PageSpectrum | None = None
+        self._nested: dict = {}
         self._padded_key: tuple | None = None
         self._padded_expected: np.ndarray | None = None
         #: The reusable frame plan: pooled transport buffers stay resident
@@ -110,7 +114,7 @@ class DisplayValidator:
 
     # -- viewport -----------------------------------------------------------
 
-    def _expected_for(self, tracked_inputs: dict | None) -> np.ndarray:
+    def _expected_for(self, tracked_inputs: dict | None) -> PageSpectrum:
         """The expected appearance under the currently *tracked* state.
 
         The VSPEC raster shows every input empty/initial, but a sampled
@@ -122,6 +126,11 @@ class DisplayValidator:
         typed values drawn at each input's text origin (reference stack),
         and each visual input's per-state appearance pasted in.  Cached
         per tracked-state, which only changes on accepted hints.
+
+        Returned as the raster's :class:`PageSpectrum` (raster in
+        ``.pixels``), kept beside it: the pristine page's is built once
+        per validator, and recomposition refreshes only the spectrum of
+        the entries it redraws.
         """
         tracked_inputs = tracked_inputs or {}
         overlays: dict = {}
@@ -133,30 +142,33 @@ class DisplayValidator:
                 overlays[entry.input_name] = (entry, value)
         if not overlays:
             self._stateful_key = None
-            return self.vspec.expected
+            return self._pristine
         key = tuple(sorted((name, v) for name, (_e, v) in overlays.items()))
-        if key == self._stateful_key and self._stateful_expected is not None:
-            return self._stateful_expected
+        if key == self._stateful_key and self._stateful is not None:
+            return self._stateful
         stack = reference_stack()
-        if self._stateful_key is not None and self._stateful_expected is not None:
+        if self._stateful_key is not None and self._stateful is not None:
             # Incremental recomposition: during active typing the state
             # changes nearly every frame, but almost always in a single
             # field — restore just the changed entries' regions from the
             # pristine raster and redraw those, instead of copying the
             # whole page raster per keystroke.
-            canvas = Image(self._stateful_expected)
+            target = self._stateful
+            canvas = Image(target.pixels)
             prev = dict(self._stateful_key)
             new = {name: v for name, (_e, v) in overlays.items()}
             stale = {n for n in set(prev) | set(new) if prev.get(n) != new.get(n)}
-            for name in stale:
-                box = self.vspec.entry_for_input(name).rect
+            boxes = [self.vspec.entry_for_input(name).rect for name in stale]
+            for box in boxes:
                 canvas.pixels[box.y : box.y2, box.x : box.x2] = self.vspec.expected[
                     box.y : box.y2, box.x : box.x2
                 ]
             todo = [overlays[n] for n in stale if n in overlays]
         else:
             canvas = Image(self.vspec.expected.copy())
+            target = self._pristine.copy(canvas.pixels)
             todo = list(overlays.values())
+            boxes = [entry.rect for entry, _v in todo]
         for entry, value in todo:
             box = entry.rect
             if entry.kind == "input":
@@ -168,9 +180,11 @@ class DisplayValidator:
                 )
             else:
                 canvas.pixels[box.y : box.y2, box.x : box.x2] = entry.state_appearances[value]
+        for box in boxes:
+            target.update(box)
         self._stateful_key = key
-        self._stateful_expected = canvas.pixels
-        return canvas.pixels
+        self._stateful = target
+        return target
 
     def locate_viewport(self, frame_pixels: np.ndarray, tracked_inputs: dict | None = None):
         """(offset_y, score) of the frame within the expected appearance.
@@ -184,7 +198,7 @@ class DisplayValidator:
                 f"frame width {frame_pixels.shape[1]} != VSPEC width {self.vspec.width} "
                 "(dishonest extension width?)"
             )
-        expected = self._expected_for(tracked_inputs)
+        target = self._expected_for(tracked_inputs)
         if frame_pixels.shape[0] > self.vspec.height:
             # Page shorter than the client viewport: the browser shows
             # background below the page end, so the search target is the
@@ -195,11 +209,11 @@ class DisplayValidator:
             if self._padded_key != pad_key or self._padded_expected is None:
                 pad_rows = frame_pixels.shape[0] - self.vspec.height
                 self._padded_expected = np.vstack(
-                    [expected, np.full((pad_rows, self.vspec.width), self.vspec.background, dtype=RASTER_DTYPE)]
+                    [target.pixels, np.full((pad_rows, self.vspec.width), self.vspec.background, dtype=RASTER_DTYPE)]
                 )
                 self._padded_key = pad_key
-            expected = self._padded_expected
-        match = best_vertical_offset(frame_pixels, expected, stride=4)
+            target = self._padded_expected
+        match = best_vertical_offset(frame_pixels, target)
         return match.offset, match.score
 
     # -- validation --------------------------------------------------------------
@@ -533,8 +547,11 @@ class DisplayValidator:
             )
             return
         # Align widths (border crop makes the interior 2px narrower).
-        expected_view = expected[:, 1 : 1 + interior.shape[1]] if pad_w else expected
-        match = best_vertical_offset(interior, expected_view, stride=2)
+        target = self._nested.get(entry.nested_id)
+        if target is None:
+            target = PageSpectrum(expected[:, 1 : 1 + interior.shape[1]] if pad_w else expected)
+            self._nested[entry.nested_id] = target
+        match = best_vertical_offset(interior, target)
         if match.score < VIEWPORT_SCORE_FLOOR:
             deferred.append(
                 _fixed_failure(

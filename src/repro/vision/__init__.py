@@ -26,6 +26,7 @@ from repro.vision.ops import (
 )
 from repro.vision.match import (
     MatchResult,
+    PageSpectrum,
     best_vertical_offset,
     match_template,
     normalized_cross_correlation,
@@ -48,6 +49,7 @@ __all__ = [
     "max_pool",
     "resize_nearest",
     "MatchResult",
+    "PageSpectrum",
     "normalized_cross_correlation",
     "match_template",
     "best_vertical_offset",

@@ -6,6 +6,9 @@ made :func:`record_metrics` write it atomically (temp file +
 accumulated record.  These tests kill a write mid-stream — via an
 unserializable metric value, the exact failure a buggy benchmark would
 inject — and assert the prior file is byte-identical afterwards.
+
+Results are written only under ``REPRO_BENCH_RECORD=1``; a plain run
+prints its tables and leaves ``results/`` untouched.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import pytest
 CONFTEST = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "conftest.py"
 
 
-@pytest.fixture()
-def recorder(tmp_path, monkeypatch):
+def _load_conftest(tmp_path, monkeypatch):
     """The benchmarks conftest loaded standalone, redirected at tmp_path."""
     spec = importlib.util.spec_from_file_location("bench_conftest", CONFTEST)
     module = importlib.util.module_from_spec(spec)
@@ -29,6 +31,28 @@ def recorder(tmp_path, monkeypatch):
     monkeypatch.setattr(module, "RESULTS_DIR", str(tmp_path))
     monkeypatch.setattr(module, "SUMMARY_PATH", str(tmp_path / "bench_summary.json"))
     return module
+
+
+@pytest.fixture()
+def recorder(tmp_path, monkeypatch):
+    """A recording conftest (``REPRO_BENCH_RECORD=1``)."""
+    monkeypatch.setenv("REPRO_BENCH_RECORD", "1")
+    return _load_conftest(tmp_path, monkeypatch)
+
+
+def test_nothing_written_without_record_flag(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("REPRO_BENCH_RECORD", raising=False)
+    module = _load_conftest(tmp_path, monkeypatch)
+    module.record_result("table_x", "| a | b |")
+    module.record_metrics("bench_a", {"p50_ms": 1.5})
+    assert list(tmp_path.iterdir()) == []
+    assert "| a | b |" in capsys.readouterr().out  # the table is still printed
+
+
+def test_record_result_writes_table(recorder, tmp_path):
+    path = pathlib.Path(recorder.record_result("table_x", "| a | b |"))
+    assert path == tmp_path / "table_x.txt"
+    assert path.read_text() == "| a | b |\n"
 
 
 def test_record_metrics_round_trip(recorder):

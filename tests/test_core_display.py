@@ -18,6 +18,7 @@ from repro.web.elements import (
     Checkbox,
     ImageElement,
     Page,
+    RadioGroup,
     ScrollableList,
     SelectBox,
     TextBlock,
@@ -118,7 +119,8 @@ class TestBenignFrames:
     def test_periodic_tall_form_locates_offset_when_filled(self, text_model, image_model):
         """Soak regression: a near-periodic tall form with typed values
         must still locate the true viewport when the tracker's state is
-        supplied (the stateful expected appearance + the 2-D coarse pass)."""
+        supplied (the stateful expected appearance, searched at every
+        offset)."""
         fields = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
         page = Page(
             title="Periodic",
@@ -158,7 +160,7 @@ class TestBenignFrames:
         validator = DisplayValidator(
             vspec, TextVerifier(text_model, batched=True), ImageVerifier(image_model, batched=True)
         )
-        composed = validator._expected_for({"note": "final"})
+        composed = validator._expected_for({"note": "final"}).pixels
         baked = build_vspec(copy.deepcopy(page_with("final")), "prefilled").expected
         entry = vspec.entry_for_input("note")
         box = entry.rect
@@ -197,9 +199,63 @@ class TestBenignFrames:
             {"a": "he", "b": "x", "c": "on"},
             {"a": "he", "b": "", "c": "on"},  # b reverts to initial
         ):
-            evolved = evolving._expected_for(tracked)
-            fresh = make_validator()._expected_for(tracked)
+            evolved = evolving._expected_for(tracked).pixels
+            fresh = make_validator()._expected_for(tracked).pixels
             assert np.array_equal(evolved, fresh), tracked
+
+    def test_cached_spectrum_locates_like_fresh_validator(self, text_model, image_model):
+        """One validator keeps its page spectrum across tracked states,
+        refreshing only redrawn entries; every location it reports must
+        equal a fresh validator's for the same frame and tracked state."""
+        fields = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
+        page = Page(
+            title="Spectrum",
+            width=640,
+            elements=[TextInput(n, label=n.title()) for n in fields]
+            + [Checkbox("agree", "I agree"), RadioGroup("speed", ["Standard", "Express"])],
+        )
+        vspec = build_vspec(copy.deepcopy(page), "spectrum")
+        machine = Machine(640, 300)
+        assert vspec.height > 300  # every frame searches
+
+        def make_validator():
+            return DisplayValidator(
+                vspec, TextVerifier(text_model, batched=True), ImageVerifier(image_model, batched=True)
+            )
+
+        evolving = make_validator()
+        states = [
+            {"alpha": "value-alpha"},
+            {"beta": "value-alpha"},  # two fields change: the value moves
+            {"beta": "value-alphab"},  # keystrokes
+            {"beta": "value-alphabc"},
+            {"alpha": "abc", "beta": "x", "gamma": "y", "agree": "on", "speed": "Express"},
+            {},  # back to the initial state
+            {"delta": "d", "speed": "Standard"},
+        ]
+        for i, tracked in enumerate(states):
+            client = copy.deepcopy(page)
+            for name, value in tracked.items():
+                element = client.find_input(name)
+                if isinstance(element, Checkbox):
+                    element.checked = value == "on"
+                elif isinstance(element, RadioGroup):
+                    element.selected = element.options.index(value)
+                else:
+                    element.value = value
+            browser = Browser(machine, client)
+            browser.scroll_y = (0, 120, 200)[i % 3]
+            browser.paint()
+            frame = machine.sample_framebuffer().pixels
+            located = evolving.locate_viewport(frame, tracked)
+            assert located == make_validator().locate_viewport(frame, tracked), tracked
+            assert located[0] == browser.scroll_y, tracked
+            # A strip showing only one field: on this form only the tracked
+            # value tells its row from the rows that repeat it.
+            for name in tracked:
+                top = vspec.entry_for_input(name).rect.y - 4
+                strip = make_validator()._expected_for(tracked).pixels[top : top + 36]
+                assert evolving.locate_viewport(strip, tracked) == (top, 1.0), (tracked, name)
 
 
 class TestTamperedFrames:

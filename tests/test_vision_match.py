@@ -5,8 +5,12 @@ import pytest
 
 from repro.raster.stacks import stack_registry
 from repro.raster.text import render_text_line
-from repro.vision.image import Image
+from repro.vision import match as match_module
+from repro.vision.components import Rect
+from repro.vision.image import Image, as_array
 from repro.vision.match import (
+    MatchResult,
+    PageSpectrum,
     best_horizontal_offset,
     best_vertical_offset,
     match_template,
@@ -68,9 +72,9 @@ class TestViewportSearch:
 
     def test_stride_coarse_search_still_finds_offset(self):
         page = _page_with_sections()
-        # 93 is not a stride multiple and the window contains SECTION A.
+        # 93 lies off every coarse grid and the window contains SECTION A.
         frame = page.crop(0, 93, 200, 120)
-        result = best_vertical_offset(frame, page, stride=4)
+        result = best_vertical_offset(frame, page)
         assert result.offset == 93
 
     def test_blank_frame_matches_some_blank_window(self):
@@ -103,6 +107,103 @@ class TestViewportSearch:
         window = strip.crop(460, 0, 120, 40)
         result = best_horizontal_offset(window, strip)
         assert result.offset == 460
+
+
+def _brute_force(frame, page) -> MatchResult:
+    """The oracle: the shipped NCC at every offset, exact ties to the lowest."""
+    f, p = as_array(frame), as_array(page)
+    n = f.shape[0]
+    best = MatchResult(0, -np.inf)
+    for off in range(p.shape[0] - n + 1):
+        score = normalized_cross_correlation(f, p[off : off + n])
+        if score > best.score:
+            best = MatchResult(off, score)
+    return best
+
+
+def _periodic_form(rows: int = 10) -> Image:
+    """A tall form whose label + box rows repeat every 60px; labels cycle
+    through three strings, so whole windows nearly repeat."""
+    page = Image.blank(220, rows * 60 + 30, 252.0)
+    for i in range(rows):
+        page.paste(render_text_line(f"Field {i % 3}", 14), 10, 10 + 60 * i)
+        page.draw_border(10, 30 + 60 * i, 180, 24, 120.0)
+    return page
+
+
+def _parity_cases():
+    rng = np.random.default_rng(7)
+    for seed in range(3):
+        height, width = int(rng.integers(60, 240)), int(rng.integers(4, 40))
+        page = rng.uniform(0, 255, (height, width))
+        n = int(rng.integers(1, height))
+        off = int(rng.integers(0, height - n + 1))
+        yield f"random-{seed}", page[off : off + n] + rng.normal(0, 8, (n, width)), page
+    form = _periodic_form()
+    filled = form.copy()
+    filled.paste(render_text_line("typed", 14), 14, 36 + 60 * 4)
+    yield "periodic-form", filled.pixels[200:380], form.pixels
+    sections = _page_with_sections().pixels
+    yield "blank-frame", sections[233:353], sections
+    yield "noisy-blank-frame", sections[233:353] + rng.uniform(-1, 1, (120, 200)), sections
+    yield "unmatched-blank-frame", np.full((120, 200), 100.0), sections
+    yield "blank-frame-inexact-mean", np.full((40, 200), 251.37), sections[:200]
+    faint = sections.copy()
+    faint[300:304, 20:60] -= 6.0  # near-constant windows: range 6
+    yield "faint-content", faint[250:370] + rng.normal(0, 1, (120, 200)), faint
+    bottom = form.pixels[-130:].copy()
+    bottom[100:110, 150:200] = 0.0  # the last window is the only near match
+    yield "bottom-offset", bottom, form.pixels
+    yield "frame-equals-page", sections, sections
+
+
+class TestExhaustiveSearchParity:
+    """The FFT search returns the brute-force NCC argmax, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name, frame, page", list(_parity_cases()), ids=lambda v: v if isinstance(v, str) else ""
+    )
+    def test_matches_brute_force(self, name, frame, page):
+        expected = _brute_force(frame, page)
+        if name == "bottom-offset":
+            assert expected.offset == page.shape[0] - frame.shape[0]
+        assert best_vertical_offset(frame, page) == expected
+        assert best_vertical_offset(frame, PageSpectrum(page)) == expected
+
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    def test_blank_frame_scores_few_windows(self, monkeypatch, noise):
+        """Blank windows are settled from per-row min/max, not one NCC each."""
+        real = match_module.normalized_cross_correlation
+        calls = []
+        monkeypatch.setattr(
+            match_module, "normalized_cross_correlation", lambda a, b: calls.append(1) or real(a, b)
+        )
+        sections = _page_with_sections().pixels
+        frame = sections[233:353] + np.random.default_rng(4).uniform(-noise, noise, (120, 200))
+        assert best_vertical_offset(frame, sections).score == 1.0
+        assert len(calls) <= 2
+
+    def test_horizontal_variant_matches_brute_force(self):
+        strip = Image.blank(600, 40)
+        strip.paste(render_text_line("LEFT", 16), 20, 10)
+        strip.paste(render_text_line("RIGHT", 16), 480, 10)
+        window = strip.crop(457, 0, 120, 40).pixels
+        result = best_horizontal_offset(window, strip)
+        assert result == _brute_force(window.T, strip.pixels.T)
+        assert result.offset == 457
+
+    def test_updated_spectrum_matches_fresh(self):
+        form = _periodic_form()
+        target = PageSpectrum(form.pixels)
+        best_vertical_offset(form.pixels[130:190], target)  # computes the spectrum
+        box = Rect(0, 250, 220, 60)
+        texture = np.random.default_rng(3).uniform(0, 255, (box.h, box.w))
+        form.pixels[box.y : box.y2, box.x : box.x2] = texture
+        target.update(box)
+        # Only the edited page holds this frame: a stale spectrum ranks
+        # some other window first.
+        result = best_vertical_offset(texture, target)
+        assert result == _brute_force(texture, form) == MatchResult(250, 1.0)
 
 
 class TestTemplateMatch:
