@@ -1,6 +1,6 @@
-"""Legacy setup shim: the offline environment lacks the `wheel` package, so
-`pip install -e .` falls back to `setup.py develop`, which needs this file.
-All metadata lives in pyproject.toml."""
+"""Legacy setup shim: without the `wheel` package (and setuptools older than
+70.1) pip cannot build the project, but `python setup.py develop --no-deps`
+still installs it.  All metadata lives in pyproject.toml."""
 from setuptools import setup
 
 setup()

@@ -184,12 +184,21 @@ class ScopedDigestCache:
 
 
 class DifferentialDetector:
-    """Tracks the previous frame and reports what changed.
+    """Tracks the last validated pixels and reports what changed since.
 
     ``changed(frame)`` returns ``None`` for the first frame (everything
     must be validated), an empty list when the frame is identical (the
     frame-cache fast path), or the changed rectangles in frame
     coordinates.
+
+    The reference is not simply the previous frame: only the reported
+    rectangles are copied from each new frame into it, so it holds the
+    pixels as last re-validated.  A change below ``threshold`` per sample
+    therefore accumulates against the reference until it is reported,
+    instead of drifting through unseen one small step at a time; and a
+    frame whose reported changes all lie inside some boxes differs from
+    the pixels last validated only inside those boxes, by more than the
+    threshold (what viewport tracking relies on).
     """
 
     def __init__(self, threshold: float = 4.0, merge_radius: int = 4) -> None:
@@ -205,6 +214,8 @@ class DifferentialDetector:
             self._previous_digest = digest
             return None
         if digest == self._previous_digest:
+            # The last frame again: it is already within ``threshold`` of
+            # the reference everywhere outside the rectangles copied in.
             return []
         if self._previous.shape != frame_pixels.shape:
             self._previous = frame_pixels.copy()
@@ -216,7 +227,8 @@ class DifferentialDetector:
                 self._previous, frame_pixels, threshold=self.threshold, merge_radius=self.merge_radius
             )
         ]
-        self._previous = frame_pixels.copy()
+        for r in regions:
+            self._previous[r.y : r.y2, r.x : r.x2] = frame_pixels[r.y : r.y2, r.x : r.x2]
         self._previous_digest = digest
         return regions
 

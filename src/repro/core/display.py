@@ -7,6 +7,15 @@ with the CNN verifiers.  Regions with no elements must match the page
 background.  Stateful inputs are validated against the appearance of the
 currently *tracked* state, and POF pixels are subtracted first.
 
+Step (1) is an exhaustive search (:func:`~repro.vision.match.best_vertical_offset`)
+unless the session can prove the viewport has not moved: when every
+change since the last located frame lies inside an input box at that
+frame's offset, :meth:`DisplayValidator.locate_viewport` scores the
+frame at that offset alone (viewport tracking) and searches only if the
+score falls below :data:`VIEWPORT_SCORE_FLOOR`; the method's docstring
+gives the security argument.  The background check of regions without
+elements runs on every validated frame, limited to what changed.
+
 Step (3) is two-phase.  A **collect** pass walks the whole manifest and
 funnels every CNN unit input of the frame — glyph tiles from all text
 entries, 32x32 observed/expected pairs from all image regions — into one
@@ -39,7 +48,7 @@ from repro.raster.text import char_advance
 from repro.vision.components import Rect
 from repro.vision.image import DTYPE as RASTER_DTYPE
 from repro.vision.image import Image
-from repro.vision.match import PageSpectrum, best_vertical_offset
+from repro.vision.match import PageSpectrum, best_vertical_offset, normalized_cross_correlation
 from repro.vspec.spec import CharCell, ManifestEntry, VSpec
 from repro.web.render import DEFAULT_POF, POFStyle, draw_input_value
 
@@ -69,6 +78,9 @@ class DisplayResult:
     image_invocations: int = 0
     entries_checked: int = 0
     skipped_unchanged: bool = False
+    #: The viewport was tracked: scored at the last located offset (every
+    #: change since lay inside an input box) instead of searched.
+    viewport_tracked: bool = False
     # Plan-size statistics (frame-level batching observability): how many
     # unit inputs the collect phase gathered and how many model forward
     # passes the execute phase actually ran for this frame.
@@ -186,12 +198,39 @@ class DisplayValidator:
         self._stateful = target
         return target
 
-    def locate_viewport(self, frame_pixels: np.ndarray, tracked_inputs: dict | None = None):
+    def locate_viewport(
+        self,
+        frame_pixels: np.ndarray,
+        tracked_inputs: dict | None = None,
+        unmoved_from: int | None = None,
+    ):
         """(offset_y, score) of the frame within the expected appearance.
 
         ``tracked_inputs`` (the interaction tracker's current state) keeps
         the search target faithful to what an honest display shows
         mid-session; omitting it matches against the initial-state raster.
+
+        ``unmoved_from`` is the viewport-tracking hint: the offset of an
+        earlier frame this one provably has not scrolled away from (the
+        session passes it when every differential change since that frame
+        lies inside an input box, see
+        :meth:`repro.core.service.WitnessSession._unmoved_offset`).  The frame
+        is then scored at that offset alone, with the same
+        :func:`~repro.vision.match.normalized_cross_correlation` against
+        the same target the search uses, so the score is bit-identical to
+        the one the search reports there.  A score at or above
+        :data:`VIEWPORT_SCORE_FLOOR` is returned as is; anything lower
+        falls back to the exhaustive search in the same call.
+
+        Why skipping the search is safe: a tracked frame differs from the
+        frame located at ``unmoved_from`` only inside input boxes at that
+        offset (the differential reference holds the last re-validated
+        pixels, so sub-threshold drift cannot accumulate outside them),
+        and every entry intersecting a change is re-verified at that
+        offset.  A scroll of k >= 1 rows moves the boxes' borders, so its
+        changes land k rows outside a box (plus the diff's dilation) and
+        the session never offers the hint; and a kept offset that no
+        longer scores above the floor gets a full search.
         """
         if frame_pixels.shape[1] != self.vspec.width:
             raise ValueError(
@@ -213,6 +252,15 @@ class DisplayValidator:
                 )
                 self._padded_key = pad_key
             target = self._padded_expected
+        if unmoved_from is not None:
+            page = target.pixels if isinstance(target, PageSpectrum) else target
+            rows = frame_pixels.shape[0]
+            if 0 <= unmoved_from <= page.shape[0] - rows:
+                score = normalized_cross_correlation(
+                    frame_pixels, page[unmoved_from : unmoved_from + rows]
+                )
+                if score >= VIEWPORT_SCORE_FLOOR:
+                    return unmoved_from, score
         match = best_vertical_offset(frame_pixels, target)
         return match.offset, match.score
 
@@ -299,8 +347,8 @@ class DisplayValidator:
             for emit in deferred:
                 emit(result, text_verdicts, image_verdicts)
 
-        if self.check_background and changed_rects is None:
-            self._validate_background(clean, offset, viewport, result)
+        if self.check_background:
+            self._validate_background(clean, offset, viewport, result, changed_rects)
 
         result.plan_text_units = plan.text_unit_count
         result.plan_image_pairs = plan.image_pair_count
@@ -593,10 +641,28 @@ class DisplayValidator:
             deferred.append(emit)
 
     def _validate_background(
-        self, frame_pixels: np.ndarray, offset: int, viewport: Rect, result: DisplayResult
+        self,
+        frame_pixels: np.ndarray,
+        offset: int,
+        viewport: Rect,
+        result: DisplayResult,
+        changed_rects: list | None = None,
     ) -> None:
-        """Regions without UI elements must match the background color."""
-        mask = np.ones(frame_pixels.shape, dtype=bool)
+        """Regions without UI elements must match the background color.
+
+        ``changed_rects`` (frame coordinates) limits the check to what
+        changed since the last validated frame; ``None`` checks the whole
+        frame.  Either way the grown entry rectangles are left to their
+        entries' own checks, and the off-color fraction is taken over the
+        pixels checked — so content painted onto the background of a
+        later frame is caught in the frame that shows it.
+        """
+        if changed_rects is None:
+            mask = np.ones(frame_pixels.shape, dtype=bool)
+        else:
+            mask = np.zeros(frame_pixels.shape, dtype=bool)
+            for r in changed_rects:
+                mask[r.y : r.y2, r.x : r.x2] = True
         for entry in self.vspec.visible_entries(viewport):
             grown = entry.rect.expanded(8)
             y0 = max(grown.y - offset, 0)

@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.core.caches import DifferentialDetector, DigestCache
-from repro.core.display import DisplayResult, DisplayValidator
+from repro.core.display import VIEWPORT_SCORE_FLOOR, DisplayResult, DisplayValidator
 from repro.core.interaction import InteractionTracker, Violation
 from repro.core.pof import check_pof_consistency, extract_pofs
 from repro.core.sampler import ScreenshotSampler
@@ -151,6 +151,10 @@ class FrameOutcome:
     skipped_unchanged: bool
     failures: tuple
     new_violations: tuple
+    #: The viewport offset was tracked (scored at the last located offset)
+    #: rather than searched.  Not part of a soak fingerprint: the offset
+    #: is, and tracking must not change it.
+    viewport_tracked: bool = False
     # Plan-size statistics: unit inputs collected and model forwards run
     # for this frame (zero for skipped-unchanged frames).  In batched mode
     # forwards stay O(1) per model kind regardless of plan size.
@@ -185,6 +189,8 @@ class SessionReport:
     timing: SessionTiming = field(default_factory=SessionTiming)
     frames_sampled: int = 0
     frames_skipped: int = 0
+    #: Validated frames whose viewport was tracked instead of searched.
+    frames_tracked: int = 0
     text_invocations: int = 0
     image_invocations: int = 0
     text_forwards: int = 0
@@ -345,6 +351,8 @@ class WitnessService:
             self.shared_cache.fault_hook = self.fault_injector.cache_hook
         self._quarantine_lock = threading.Lock()
         self._quarantined_sessions = 0
+        self._tracked_lock = threading.Lock()
+        self._frames_tracked = 0
         self.registry = SessionRegistry()
         self._hooks: dict = {"frame": [], "violation": [], "decision": []}
         # Observability state (repro.obs): span histograms and the flight
@@ -446,16 +454,24 @@ class WitnessService:
             ),
         }
 
-    def stats(self) -> dict:
-        """One observability snapshot: sessions, cache and health.
+    def _note_tracked(self) -> None:
+        with self._tracked_lock:
+            self._frames_tracked += 1
 
-        ``sessions`` is the registry's consistent counter snapshot and
+    def stats(self) -> dict:
+        """One observability snapshot: sessions, cache, tracking and health.
+
+        ``sessions`` is the registry's consistent counter snapshot,
         ``cache`` the digest cache's accounting (``None`` without
-        caching).
+        caching) and ``frames_tracked`` the frames, over every session of
+        the service, whose viewport was tracked instead of searched.
         """
         cache = self.shared_cache
+        with self._tracked_lock:
+            frames_tracked = self._frames_tracked
         return {
             "sessions": self.registry.stats(),
+            "frames_tracked": frames_tracked,
             "cache": cache.stats() if cache is not None else None,
             "cache_hit_rate": cache.hit_rate if cache is not None else None,
             "health": self.health(),
@@ -586,6 +602,10 @@ class WitnessSession:
         self._tracer = None  # SpanTracer when config.tracing, else None
         self._last_sample_ms = 0.0
         self._last_offset = 0
+        #: Viewport tracking: ``(offset, input boxes in frame coordinates
+        #: at that offset)`` of the last frame located with a score at or
+        #: above the floor, or ``None`` (see :meth:`_unmoved_offset`).
+        self._tracking: tuple | None = None
         self._observing = False
         self._tracker_violations_seen = 0
         self._clean_start_pending = False
@@ -846,13 +866,15 @@ class WitnessSession:
             self.report.frames_skipped += 1
         else:
             try:
+                hint = self._unmoved_offset(changed)
                 try:
                     with maybe_span(self._tracer, "frame.locate"):
                         offset, score = self._display.locate_viewport(
-                            pixels, self._tracker.tracked
+                            pixels, self._tracker.tracked, unmoved_from=hint
                         )
                 except ValueError as exc:
                     # Viewport failure subsumes the clean-start offset check.
+                    self._tracking = None
                     self._clean_start_pending = False
                     result = DisplayResult(ok=False)
                     self.report.display_ok = False
@@ -879,6 +901,12 @@ class WitnessSession:
                     viewport=(offset, score),
                 )
                 self._last_offset = result.offset_y
+                # The hint is returned only when it scores above the floor;
+                # a fallback search lands elsewhere or scores below it.
+                result.viewport_tracked = offset == hint and score >= VIEWPORT_SCORE_FLOOR
+                self._tracking = (
+                    (offset, input_rects_frame) if score >= VIEWPORT_SCORE_FLOOR else None
+                )
                 if not result.ok:
                     self.report.display_ok = False
             except RuntimeFaultError as exc:
@@ -886,6 +914,7 @@ class WitnessSession:
                 # organic).  Fail closed: the frame is invalid, the
                 # session carries a refusal-causing violation, and
                 # repeated faults quarantine it outright.
+                self._tracking = None
                 result = DisplayResult(ok=False)
                 self.report.display_ok = False
                 self._record_violation(
@@ -909,12 +938,43 @@ class WitnessSession:
         self._finish_frame(result, now_ms, t0, violations_before)
         return result
 
+    def _unmoved_offset(self, changed: list | None) -> int | None:
+        """The tracked offset if this frame provably has not scrolled, else None.
+
+        That holds when every rectangle the differential detector reports
+        (changes since the last validated pixels) lies inside an input
+        box of the last located frame, taken at its offset and grown by
+        the detector's dilation radius: typing, caret blinks and state
+        toggles.  A scroll by k >= 1 rows moves every box border by k
+        rows, which puts changes outside that margin.  Validation still
+        re-verifies every entry a change touches, and the display
+        validator still refuses the hint when its score falls below the
+        floor (see :meth:`DisplayValidator.locate_viewport`).
+        """
+        if self._tracking is None or changed is None:
+            return None  # nothing located yet, or no reference frame to diff
+        offset, boxes = self._tracking
+        margin = self._diff.merge_radius
+        for rect in changed:
+            if not any(
+                box.x - margin <= rect.x
+                and box.y - margin <= rect.y
+                and rect.x2 <= box.x2 + margin
+                and rect.y2 <= box.y2 + margin
+                for box in boxes
+            ):
+                return None
+        return offset
+
     def _finish_frame(
         self, result: DisplayResult, now_ms: float, t0: float, violations_before: int
     ) -> None:
         elapsed = time.perf_counter() - t0
         self.report.frame_results.append(result)
         self.report.frames_sampled += 1
+        if result.viewport_tracked:
+            self.report.frames_tracked += 1
+            self.service._note_tracked()
         self.report.timing.frame_times.append(elapsed)
         self.report.timing.frame_sample_times_ms.append(now_ms)
         if self._text_verifier is not None:
@@ -937,6 +997,7 @@ class WitnessSession:
             skipped_unchanged=result.skipped_unchanged,
             failures=tuple(result.failures),
             new_violations=new_violations,
+            viewport_tracked=result.viewport_tracked,
             plan_text_units=result.plan_text_units,
             plan_image_pairs=result.plan_image_pairs,
             text_retry_rounds=result.text_retry_rounds,

@@ -13,8 +13,11 @@ sums of squares, which row cumulative sums give.  A transform length of at
 least the page height is enough: the circular wrap never reaches the
 offsets searched.  The page's half of that work is a :class:`PageSpectrum`,
 which a caller searching one page repeatedly keeps and refreshes region by
-region as the page changes.  The offsets the FFT scores cannot settle are
-re-scored with :func:`normalized_cross_correlation` itself: those within
+region as the page changes, lazily: edits are recorded and re-transformed
+by the next search, so a page edited many times between searches (typing
+while the viewport is tracked rather than searched) pays for them once.
+The offsets the FFT scores cannot settle are re-scored with
+:func:`normalized_cross_correlation` itself: those within
 :data:`RESCORE_MARGIN` of the best, and near-constant windows (scored by
 NCC's intensity fallback, prefiltered with per-row min/max).  So the
 result is the offset of the highest NCC, and its score is that function's
@@ -89,28 +92,37 @@ class PageSpectrum:
     axis of each page column (centred on the page mean, zero-padded to a
     fast transform length of at least the page height), and per-row sum,
     sum of squares, minimum and maximum.  A caller that edits a rectangle
-    of ``pixels`` in place calls :meth:`update` with it, which
-    re-transforms only that rectangle's columns and re-summarises only its
-    rows.  Nothing is computed until a search needs it, so a page that is
-    never searched (it fits the display) costs nothing.
+    of ``pixels`` in place calls :meth:`update` with it.  Nothing is
+    computed until a search needs it, so a page that is never searched (it
+    fits the display) costs nothing, and the same holds for edits:
+    :meth:`update` only records the rectangle, and the next search (or
+    :meth:`copy`) re-transforms the recorded rectangles' columns and
+    re-summarises their rows.  A page edited on every keystroke but only
+    scored at one known offset between searches (viewport tracking, see
+    :meth:`repro.core.display.DisplayValidator.locate_viewport`) pays for
+    its edits once, at the next search, instead of once per keystroke.
     """
 
     __slots__ = (
         "pixels", "length", "_center", "_columns", "_row_sum", "_row_sq", "_row_min", "_row_max",
+        "_stale",
     )
 
     def __init__(self, pixels) -> None:
         self.pixels = as_array(pixels)
         self.length = _fft_length(self.pixels.shape[0])
         self._columns: np.ndarray | None = None
+        self._stale: list = []
 
     def copy(self, pixels) -> "PageSpectrum":
         """This spectrum for ``pixels``, an equal copy of this page that the
         caller is about to edit (and :meth:`update`) on its own."""
+        self._refresh()
         twin = PageSpectrum.__new__(PageSpectrum)
         twin.pixels = as_array(pixels)
         twin.length = self.length
         twin._columns = None
+        twin._stale = []
         if self._columns is not None:
             twin._center = self._center
             twin._columns = self._columns.copy()
@@ -121,18 +133,29 @@ class PageSpectrum:
         return twin
 
     def update(self, box) -> None:
-        """Refresh after the caller changed ``box`` (a :class:`Rect`) of ``pixels``."""
-        if self._columns is None:
-            return
-        x0, x1 = max(box.x, 0), min(box.x2, self.pixels.shape[1])
-        y0, y1 = max(box.y, 0), min(box.y2, self.pixels.shape[0])
-        if x1 <= x0 or y1 <= y0:
-            return
-        self._columns[:, x0:x1] = self._transform(self.pixels[:, x0:x1])
-        self._summarise_rows(y0, y1)
+        """Note that the caller changed ``box`` (a :class:`Rect`) of ``pixels``.
+
+        Only recorded (once per distinct box): the next search or
+        :meth:`copy` refreshes it from the pixels as they are then.
+        """
+        if self._columns is not None and box not in self._stale:
+            self._stale.append(box)
+
+    def _refresh(self) -> None:
+        """Re-transform the columns and re-summarise the rows of every
+        recorded box, each exactly as an immediate refresh would."""
+        for box in self._stale:
+            x0, x1 = max(box.x, 0), min(box.x2, self.pixels.shape[1])
+            y0, y1 = max(box.y, 0), min(box.y2, self.pixels.shape[0])
+            if x1 <= x0 or y1 <= y0:
+                continue
+            self._columns[:, x0:x1] = self._transform(self.pixels[:, x0:x1])
+            self._summarise_rows(y0, y1)
+        self._stale.clear()
 
     def _ensure(self) -> None:
         if self._columns is not None:
+            self._refresh()
             return
         height = self.pixels.shape[0]
         self._center = float(self.pixels.mean())

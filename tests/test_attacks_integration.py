@@ -99,6 +99,36 @@ class TestUITampering:
         assert not decision.certified
 
 
+class TestBackgroundTampering:
+    """Content painted on the page background after the first frame.
+
+    The background check used to run on full frames only (in practice
+    frame 0), so a later frame could show anything where the page has no
+    element.  It now runs on every validated frame, over the changed
+    rectangles outside the grown entries.
+    """
+
+    def test_text_on_background_detected(self, scenario):
+        scenario.begin()
+        scenario.honest_fill()
+        swap_text_on_display(scenario.machine, 330, 420, "Pay to ACC-666 now", size=16)
+        scenario.machine.clock.advance(1200)
+        decision = scenario.end()
+        assert not decision.certified
+        failures = scenario.vwitness.report.all_failures
+        assert any(f.kind == "background" for f in failures), failures
+
+    def test_dark_block_on_background_detected(self, scenario):
+        scenario.begin()
+        scenario.honest_fill()
+        overlay_rectangle(scenario.machine, 330, 420, 200, 60, color=40.0)
+        scenario.machine.clock.advance(1200)
+        decision = scenario.end()
+        assert not decision.certified
+        failures = scenario.vwitness.report.all_failures
+        assert any(f.kind == "background" for f in failures), failures
+
+
 class TestTOCTOU:
     def _frames(self, scenario):
         honest = scenario.machine.sample_framebuffer().pixels.copy()

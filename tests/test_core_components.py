@@ -219,6 +219,37 @@ class TestCaches:
         assert len(regions) == 1
         assert regions[0].contains(Rect(5, 5, 4, 4))
 
+    def test_differential_detector_accumulates_sub_threshold_drift(self):
+        """A label darkened 3 levels per frame (under the 4-level
+        threshold each time) is reported once its drift from the last
+        validated pixels exceeds the threshold."""
+        detector = DifferentialDetector()
+        frame = np.full((40, 60), 255.0)
+        frame[10:14, 10:40] = 60.0
+        assert detector.changed(frame) is None
+        label = Rect(10, 10, 30, 4)
+        reports = []
+        for _step in range(4):
+            frame = frame.copy()
+            frame[label.y : label.y2, label.x : label.x2] -= 3.0
+            reports.append(detector.changed(frame))
+        # 3 levels: not yet; 6: reported; then 3 and 6 again from the
+        # newly validated pixels.
+        assert reports[0] == [] and reports[2] == []
+        for regions in (reports[1], reports[3]):
+            assert len(regions) == 1 and regions[0].contains(label)
+
+    def test_differential_detector_repeated_frame_after_drift(self):
+        """The last frame again is unchanged, even though it already
+        drifted (under the threshold) from the validated pixels."""
+        detector = DifferentialDetector()
+        frame = np.full((20, 20), 200.0)
+        detector.changed(frame)
+        drifted = frame - 3.0
+        assert detector.changed(drifted) == []
+        assert detector.changed(drifted.copy()) == []
+        assert detector.changed(drifted - 3.0) != []
+
 
 class TestPOF:
     def _focused_frame(self, value="hi", select=None):

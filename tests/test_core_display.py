@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.caches import DigestCache
-from repro.core.display import DisplayValidator
+from repro.core import display as display_module
+from repro.core.display import VIEWPORT_SCORE_FLOOR, DisplayValidator
 from repro.core.verifiers import ImageVerifier, TextVerifier
 from repro.raster.stacks import stack_registry
 from repro.server.generate import build_vspec
 from repro.vision.image import Image
+from repro.vision.match import normalized_cross_correlation
 from repro.web import layout as lay
 from repro.web.browser import Browser
 from repro.web.elements import (
@@ -256,6 +258,57 @@ class TestBenignFrames:
                 top = vspec.entry_for_input(name).rect.y - 4
                 strip = make_validator()._expected_for(tracked).pixels[top : top + 36]
                 assert evolving.locate_viewport(strip, tracked) == (top, 1.0), (tracked, name)
+
+
+class TestTrackingHint:
+    """``locate_viewport(..., unmoved_from=o)`` scores offset ``o`` alone
+    and falls back to the exhaustive search below the floor."""
+
+    @pytest.fixture
+    def tall(self, text_model, image_model, monkeypatch):
+        fields = ["alpha", "beta", "gamma", "delta", "epsilon"]
+        page = Page(
+            title="Tracking",
+            width=640,
+            elements=[TextBlock(f"Section {t} of the form", 14) for t in ("one", "two", "three")]
+            + [TextInput(n, label=n.title()) for n in fields],
+        )
+        vspec = build_vspec(copy.deepcopy(page), "tracking")
+        machine = Machine(640, 240)
+        browser = Browser(machine, copy.deepcopy(page))
+        browser.scroll_y = 90
+        browser.paint()
+        validator = DisplayValidator(
+            vspec, TextVerifier(text_model, batched=True), ImageVerifier(image_model, batched=True)
+        )
+        searches = []
+        real = display_module.best_vertical_offset
+        monkeypatch.setattr(
+            display_module, "best_vertical_offset", lambda f, t: searches.append(1) or real(f, t)
+        )
+        return machine.sample_framebuffer().pixels, vspec, validator, searches
+
+    def test_hint_at_true_offset_skips_search_with_identical_score(self, tall):
+        frame, _vspec, validator, searches = tall
+        searched = validator.locate_viewport(frame)
+        assert searched[0] == 90 and len(searches) == 1
+        assert validator.locate_viewport(frame, unmoved_from=90) == searched  # bit-identical
+        assert len(searches) == 1
+
+    def test_hint_below_floor_falls_back_to_search(self, tall):
+        frame, vspec, validator, searches = tall
+        n = frame.shape[0]
+        hint = next(
+            o for o in range(vspec.height - n + 1)
+            if normalized_cross_correlation(frame, vspec.expected[o : o + n]) < VIEWPORT_SCORE_FLOOR
+        )
+        assert validator.locate_viewport(frame, unmoved_from=hint) == validator.locate_viewport(frame)
+        assert len(searches) == 2
+
+    def test_hint_out_of_range_falls_back_to_search(self, tall):
+        frame, vspec, validator, searches = tall
+        located = validator.locate_viewport(frame, unmoved_from=vspec.height)
+        assert located[0] == 90 and len(searches) == 1
 
 
 class TestTamperedFrames:

@@ -333,8 +333,9 @@ def test_rejected_decision_dumps_flight_artifact(text_model, image_model, tmp_pa
 def test_service_stats_sections(text_model, image_model):
     _, service = _run(SMALL_SPEC, text_model, image_model, tracing=False)
     stats = service.stats()
-    assert set(stats) == {"sessions", "cache", "cache_hit_rate", "health"}
+    assert set(stats) == {"sessions", "frames_tracked", "cache", "cache_hit_rate", "health"}
     assert stats["sessions"]["total_opened"] >= 1
+    assert stats["frames_tracked"] >= 0
     assert stats["cache"]["hits"] == service.shared_cache.hits
     assert set(stats["cache"]) == {
         "entries", "capacity", "hits", "misses", "evictions", "hit_rate",

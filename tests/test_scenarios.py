@@ -207,3 +207,31 @@ class TestScrollRefocusParity:
         )
         assert res.ok, res.summary()
         assert res.certified_total == 2  # one honest certification per combo
+
+
+class TestViewportTracking:
+    def test_tracked_offsets_equal_exhaustive_search(self, text_model, image_model, monkeypatch):
+        """Over the default soak matrix, every frame whose viewport was
+        tracked gets the offset and score a fresh exhaustive search of the
+        same frame and tracked state reports."""
+        from repro.core.display import DisplayValidator
+
+        real = DisplayValidator.locate_viewport
+        compared = []
+
+        def checked(self, frame, tracked_inputs=None, unmoved_from=None):
+            located = real(self, frame, tracked_inputs, unmoved_from)
+            if unmoved_from is not None and located[0] == unmoved_from:
+                compared.append((located, real(self, frame, tracked_inputs)))
+            return located
+
+        monkeypatch.setattr(DisplayValidator, "locate_viewport", checked)
+        res = run_soak(
+            default_soak_specs(),
+            combos=ENGINE_COMBOS[:1],
+            text_model=text_model,
+            image_model=image_model,
+        )
+        assert res.ok, res.summary()
+        assert len(compared) > 50
+        assert all(located == searched for located, searched in compared)

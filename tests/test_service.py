@@ -103,6 +103,8 @@ class TestMultiSession:
         assert all(d.certified for d in decisions), [d.reason for d in decisions]
         bodies = [d.request.body["recipient"] for d in decisions]
         assert bodies == [f"ACC-{i}" for i in range(8)]
+        tracked = sum(c.witness.report.frames_tracked for c in clients)
+        assert site.service.stats()["frames_tracked"] == tracked > 0
         # One warm model set: no additional training (or even reloading)
         # happened to serve eight guests.
         after = zoo.model_registry_stats()
@@ -453,3 +455,78 @@ class TestRegistryStats:
         assert final == {"active": 0, "total_opened": 800, "peak_active": final["peak_active"]}
         assert registry.total_opened == 800
         assert 1 <= registry.peak_active <= 4
+
+
+class TestViewportTracking:
+    """Frames whose changes all lie inside input boxes reuse the last
+    located offset; everything else searches."""
+
+    def _typing_client(self, text_model, image_model):
+        site = make_site(text_model, image_model)
+        client = site.connect("transfer", display=(640, 240))
+        user = HonestUser(client.browser)
+        user.fill_text_input("recipient", "ACC-1234")
+        report = client.witness.report
+        assert report.frames_tracked > 0
+        return site, client, user
+
+    def test_typing_frames_are_tracked_and_counted(self, text_model, image_model):
+        site, client, _user = self._typing_client(text_model, image_model)
+        decision = client.submit()
+        assert decision.certified, decision.reason
+        report = client.witness.report
+        assert sum(o.viewport_tracked for o in report.outcomes) == report.frames_tracked
+        assert site.service.stats()["frames_tracked"] == report.frames_tracked
+
+    def test_small_scrolls_are_never_tracked(self, text_model, image_model):
+        _site, client, _user = self._typing_client(text_model, image_model)
+        outcomes = client.witness.report.outcomes
+        for rows in (1, 2, 3, 4, 1):
+            seen = len(outcomes)
+            client.browser.scroll(rows)
+            client.machine.clock.advance(1200)
+            validated = [o for o in outcomes[seen:] if not o.skipped_unchanged]
+            assert validated, rows
+            assert not validated[0].viewport_tracked, rows
+            assert validated[0].offset_y == client.browser.scroll_y, rows
+        assert client.submit().certified
+
+    def test_tamper_inside_input_box_on_tracked_frame_refused(self, text_model, image_model):
+        from repro.attacks.tamper import swap_text_on_display
+        from repro.web import layout as lay
+
+        _site, client, _user = self._typing_client(text_model, image_model)
+        outcomes = client.witness.report.outcomes
+        seen = len(outcomes)
+        field = client.browser.page.find_input("recipient")
+        ox, oy = lay.text_origin_in_input(field)
+        swap_text_on_display(
+            client.machine, ox, oy - client.browser.scroll_y, "ACC-6666",
+            size=field.text_size, background=252.0,
+        )
+        client.machine.clock.advance(1200)
+        tampered = [o for o in outcomes[seen:] if not o.skipped_unchanged][0]
+        assert tampered.viewport_tracked
+        assert not tampered.ok
+        assert not client.submit().certified
+
+    def test_tracked_frame_counter_loses_no_update(self, text_model, image_model):
+        """Sessions on many threads bump one service-wide counter."""
+        import sys
+
+        service = make_site(text_model, image_model).service
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: [service._note_tracked() for _ in range(2000)])
+                for _ in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert service.stats()["frames_tracked"] == 16000

@@ -206,6 +206,50 @@ class TestExhaustiveSearchParity:
         assert result == _brute_force(texture, form) == MatchResult(250, 1.0)
 
 
+class TestLazySpectrum:
+    """``update`` only records a box; the next search or copy refreshes it."""
+
+    def _edits(self):
+        rng = np.random.default_rng(5)
+        a, b = Rect(0, 250, 220, 60), Rect(100, 400, 90, 40)
+        return [(box, rng.uniform(0, 255, (box.h, box.w))) for box in (a, a, b, a)]
+
+    def test_lazy_searches_equal_fresh(self):
+        form = _periodic_form()
+        lazy = PageSpectrum(form.pixels)
+        best_vertical_offset(form.pixels[130:190], lazy)  # computes the spectrum
+        edits = self._edits()
+        for box, texture in edits:
+            form.pixels[box.y : box.y2, box.x : box.x2] = texture
+            lazy.update(box)
+        assert lazy._stale == [edits[0][0], edits[2][0]]  # recorded once each
+        for box, _texture in edits[2:]:
+            # Only the edited page holds these frames: a stale spectrum
+            # ranks some other window first.
+            frame = np.ascontiguousarray(form.pixels[box.y : box.y + 60])
+            expected = _brute_force(frame, form)
+            assert expected.offset == box.y
+            assert best_vertical_offset(frame, lazy) == expected
+            assert best_vertical_offset(frame, PageSpectrum(form.pixels.copy())) == expected
+        assert lazy._stale == []
+
+    def test_copy_refreshes_first(self):
+        form = _periodic_form()
+        lazy = PageSpectrum(form.pixels)
+        best_vertical_offset(form.pixels[130:190], lazy)
+        box, texture = self._edits()[0]
+        form.pixels[box.y : box.y2, box.x : box.x2] = texture
+        lazy.update(box)
+        twin = lazy.copy(form.pixels.copy())
+        frame = np.ascontiguousarray(form.pixels[box.y : box.y + 60])
+        assert best_vertical_offset(frame, twin) == _brute_force(frame, form) == MatchResult(box.y, 1.0)
+
+    def test_unsearched_page_records_nothing(self):
+        page = PageSpectrum(_periodic_form().pixels)
+        page.update(Rect(0, 0, 10, 10))
+        assert page._stale == []
+
+
 class TestTemplateMatch:
     def test_finds_all_instances_with_nms(self):
         canvas = Image.blank(64, 64)
