@@ -10,6 +10,11 @@ forge them — the consistency rules catch forgeries:
 2. **Same-field logic** — outline, highlight and caret must all reside in
    the same input field.
 3. **Mutual exclusivity** — caret and selection highlight never coexist.
+
+Carets and highlights only count in input fields, so their bands are
+labelled in windows around the fields, with the whole frame as the exact
+fallback (:func:`_band_components`); the focus outline is searched on the
+whole frame, since a forged outline anywhere counts.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.vision.components import Rect, connected_components, find_rectangles
+from repro.vision.components import Rect, box_rect, component_boxes, find_rectangles
 from repro.web.render import DEFAULT_POF, POFStyle
 
 #: Intensity tolerance when matching POF bands (absorbs stack noise).
@@ -43,7 +48,18 @@ class POFObservation:
 
 
 def _band_mask(pixels: np.ndarray, intensity: float, tol: float = BAND_TOL) -> np.ndarray:
-    return np.abs(pixels - intensity) <= tol
+    """Pixels within ``tol`` of ``intensity``: ``|p - c| <= tol``.
+
+    Computed as ``c - tol <= p <= c + tol``: two comparisons and no
+    temporary float array.  This is bit-identical to
+    ``np.abs(p - c) <= tol`` whenever ``c - tol`` and ``c + tol`` are
+    exact and ``tol < c / 2``, as for every shipped band (120±10, 30±10,
+    205±6).  Rounding is monotone, so inside the band ``fl(p - c)`` stays
+    within ``±tol``.  Just outside it, for ``c / 2 <= p <= 2c``, ``p - c``
+    is exact (Sterbenz's lemma); farther out it rounds to beyond
+    ``±c / 2``, already outside ``±tol``.  NaN fails both forms.
+    """
+    return (pixels >= intensity - tol) & (pixels <= intensity + tol)
 
 
 def _bright_neighbours(frame_pixels: np.ndarray, rect: Rect, threshold: float = 150.0) -> bool:
@@ -65,6 +81,130 @@ def _bright_neighbours(frame_pixels: np.ndarray, rect: Rect, threshold: float = 
     return all(float(f.mean()) > threshold for f in flanks)
 
 
+def _search_windows(areas: list, shape: tuple) -> list:
+    """Label windows ``(y0, x0, y1, x1)`` for caret and highlight search.
+
+    Each search area grown by 1 px and clipped to the frame; windows that
+    overlap are merged into their bounding box until none do, so no pixel
+    is labelled twice and two components can share a top-left corner
+    only inside one window.
+    """
+    h, w = shape
+    windows = []
+    for area in areas:
+        box = (max(area.y - 1, 0), max(area.x - 1, 0), min(area.y2 + 1, h), min(area.x2 + 1, w))
+        if box[0] >= box[2] or box[1] >= box[3]:
+            continue
+        while True:
+            other = next(
+                (o for o in windows
+                 if box[0] < o[2] and o[0] < box[2] and box[1] < o[3] and o[1] < box[3]),
+                None,
+            )
+            if other is None:
+                break
+            windows.remove(other)
+            box = (
+                min(box[0], other[0]), min(box[1], other[1]),
+                max(box[2], other[2]), max(box[3], other[3]),
+            )
+        windows.append(box)
+    return windows
+
+
+def _may_wrap(frame_pixels: np.ndarray, intensity: float, tol: float, areas: list) -> bool:
+    """Whether a band component might have its bounding box meet a
+    search area while none of its pixels lies in the area.
+
+    Such a component (a ring or an L around the area) has a pixel in the
+    area's columns above or below it and one in the area's rows beside
+    it, because a connected blob's row and column projections are
+    intervals.  A path between the two enters the area's rows through its
+    top or bottom row, outside its columns, and its columns through its
+    left or right column, outside its rows, so the band must have pixels
+    on both of those pairs of lines.  Such a component need not enter the
+    area's window, so labelling windows alone could miss it.
+    """
+    h, w = frame_pixels.shape
+    for area in areas:
+        y0, x0, y1, x1 = max(area.y, 0), max(area.x, 0), min(area.y2, h), min(area.x2, w)
+        if y0 >= y1 or x0 >= x1:
+            continue
+        rows = frame_pixels[[y0, y1 - 1]]
+        if not (_band_mask(rows[:, :x0], intensity, tol).any()
+                or _band_mask(rows[:, x1:], intensity, tol).any()):
+            continue
+        cols = frame_pixels[:, [x0, x1 - 1]]
+        if (_band_mask(cols[:y0], intensity, tol).any()
+                or _band_mask(cols[y1:], intensity, tol).any()):
+            return True
+    return False
+
+
+def _label_windows(frame_pixels, intensity, tol, areas, fits, windows) -> list | None:
+    """The :func:`_band_components` result from labelling ``windows``, or
+    None when a component meeting a search area touches a window edge
+    that is not a frame edge (it may run on outside the window).
+
+    Each window is cropped to its band pixels' bounding box before
+    labelling; the edge test still uses the window's edges, since a crop
+    edge inside the window has no band pixel beyond it.
+    """
+    h, w = frame_pixels.shape
+    found = []
+    for wy0, wx0, wy1, wx1 in windows:
+        mask = _band_mask(frame_pixels[wy0:wy1, wx0:wx1], intensity, tol)
+        rows = np.flatnonzero(mask.any(axis=1))
+        if not rows.size:
+            continue
+        cols = np.flatnonzero(mask.any(axis=0))
+        cy, cx = int(rows[0]), int(cols[0])
+        mask = mask[cy : rows[-1] + 1, cx : cols[-1] + 1]
+        oy, ox = wy0 + cy, wx0 + cx
+        for y0, x0, y1, x1 in component_boxes(mask):
+            top, left, bottom, right = y0 + oy, x0 + ox, y1 + oy, x1 + ox
+            if areas is not None and not any(
+                top < a.y2 and a.y < bottom and left < a.x2 and a.x < right for a in areas
+            ):
+                continue
+            if top == wy0 > 0 or left == wx0 > 0 or bottom == wy1 < h or right == wx1 < w:
+                return None
+            if fits(right - left, bottom - top):
+                found.append(((top, left, bottom, right), mask[y0:y1, x0:x1]))
+    found.sort(key=lambda item: item[0][:2])
+    return [(box_rect(box), sub) for box, sub in found]
+
+
+def _band_components(
+    frame_pixels: np.ndarray, intensity: float, tol: float, areas: list | None, fits
+) -> list:
+    """Components of one intensity band that ``fits(w, h)`` and whose
+    bounding box intersects a search area (any box when ``areas`` is
+    None), in reading order, each as ``(Rect, its box's slice of the band
+    mask)``.
+
+    With search areas, only the windows around them are labelled.  A
+    component found inside a window is the frame's whole component unless
+    it touches a window edge that is not a frame edge; one that does, and
+    meets a search area, sends the band to full-frame labelling, and so
+    does a possible component that meets an area without entering it
+    (:func:`_may_wrap`).  Every other component that meets an area has a
+    pixel in it, so its window holds it whole.  The result equals the
+    full-frame labelling's, order included: label order within a window
+    is the frame's raster order, and windows are disjoint.
+    """
+    h, w = frame_pixels.shape
+    whole = [(0, 0, h, w)]
+    if areas is None or _may_wrap(frame_pixels, intensity, tol, areas):
+        windows = whole
+    else:
+        windows = _search_windows(areas, (h, w))
+    found = _label_windows(frame_pixels, intensity, tol, areas, fits, windows)
+    if found is None:
+        found = _label_windows(frame_pixels, intensity, tol, areas, fits, whole)
+    return found
+
+
 def extract_pofs(
     frame_pixels: np.ndarray,
     style: POFStyle = DEFAULT_POF,
@@ -75,7 +215,12 @@ def extract_pofs(
     ``input_rects`` (frame coordinates) restricts caret/highlight search to
     expected input fields — vWitness only interprets POFs in fields, and a
     cue drawn anywhere else is simply not a POF (forged ones inside fields
-    are handled by the consistency rules).
+    are handled by the consistency rules).  A caret or highlight counts
+    when its bounding box intersects a field grown by 4 px; only the
+    windows around those search areas are labelled
+    (:func:`_band_components`), with the same result as labelling the
+    whole frame.  The focus outline is searched on the whole frame: a
+    forged outline anywhere is counted against the consistency rules.
     """
     obs = POFObservation()
 
@@ -86,19 +231,15 @@ def extract_pofs(
         outline_mask, min_width=30, min_height=16, max_fill=0.5, min_border_cover=0.7
     )
 
-    def in_search_area(rect: Rect) -> bool:
-        if input_rects is None:
-            return True
-        return any(field.expanded(4).intersects(rect) for field in input_rects)
+    areas = None if input_rects is None else [f.expanded(4) for f in input_rects]
 
     # Selection highlight first: a solid light band big enough to back
     # at least one character.
-    highlight_mask = _band_mask(frame_pixels, style.highlight_intensity, tol=6.0)
-    for rect in connected_components(highlight_mask):
-        if rect.w >= 6 and rect.h >= 8 and in_search_area(rect):
-            sub = highlight_mask[rect.y : rect.y2, rect.x : rect.x2]
-            if sub.mean() > 0.5:
-                obs.highlights.append(rect)
+    for rect, sub in _band_components(
+        frame_pixels, style.highlight_intensity, 6.0, areas, lambda w, h: w >= 6 and h >= 8
+    ):
+        if sub.mean() > 0.5:
+            obs.highlights.append(rect)
 
     # Caret: a thin, tall, nearly solid vertical bar in the caret band,
     # free-standing against the bright field background.  Candidates
@@ -108,14 +249,15 @@ def extract_pofs(
     # floor is what keeps straight glyph stems ('l', '1', '|') out: on
     # some stacks their ink lands in the caret band and their flanks are
     # bright inter-glyph gaps, but they never reach caret height.
-    caret_mask = _band_mask(frame_pixels, style.caret_intensity)
-    for rect in connected_components(caret_mask):
-        if rect.w <= style.caret_width + 2 and rect.h >= style.caret_min_height and in_search_area(rect):
-            if any(h.expanded(2).intersects(rect) for h in obs.highlights):
-                continue
-            sub = caret_mask[rect.y : rect.y2, rect.x : rect.x2]
-            if sub.mean() > 0.85 and _bright_neighbours(frame_pixels, rect, threshold=225.0):
-                obs.carets.append(rect)
+    max_width = style.caret_width + 2
+    for rect, sub in _band_components(
+        frame_pixels, style.caret_intensity, BAND_TOL, areas,
+        lambda w, h: w <= max_width and h >= style.caret_min_height,
+    ):
+        if any(h.expanded(2).intersects(rect) for h in obs.highlights):
+            continue
+        if sub.mean() > 0.85 and _bright_neighbours(frame_pixels, rect, threshold=225.0):
+            obs.carets.append(rect)
 
     return obs
 
@@ -192,7 +334,7 @@ def mask_pofs(frame_pixels: np.ndarray, obs: POFObservation, style: POFStyle = D
         # pixels in the outline intensity band (glyph anti-aliasing).
         margin = style.outline_thickness + 1
         region = out[rect.y : rect.y2, rect.x : rect.x2]
-        band = np.abs(region - style.outline_intensity) <= BAND_TOL
+        band = _band_mask(region, style.outline_intensity)
         ring = np.ones_like(band)
         if rect.h > 2 * margin and rect.w > 2 * margin:
             ring[margin:-margin, margin:-margin] = False
@@ -201,6 +343,6 @@ def mask_pofs(frame_pixels: np.ndarray, obs: POFObservation, style: POFStyle = D
         out[rect.y : rect.y2, rect.x : rect.x2] = field_background
     for rect in obs.highlights:
         region = out[rect.y : rect.y2, rect.x : rect.x2]
-        band = np.abs(region - style.highlight_intensity) <= 6.0
+        band = _band_mask(region, style.highlight_intensity, tol=6.0)
         region[band] = field_background
     return out

@@ -585,7 +585,7 @@ class WitnessSession:
         sampler_seed: int | None = None,
     ) -> None:
         self.service = service
-        self.machine = machine
+        self.machine: Machine | None = machine  # None once closed
         self.config = config
         self.sampler_seed = config.sampler_seed if sampler_seed is None else sampler_seed
         self.id = 0  # assigned by the registry at open time
@@ -752,10 +752,11 @@ class WitnessSession:
         """Tear the session down: detach, unregister, drop per-guest state.
 
         Idempotent; called automatically by ``end_session`` and on
-        ``with``-block exit.  Dropping the sampler/tracker/display
-        references here is deliberate teardown hygiene: a closed handle
-        must not keep stale verifier state (or the guest machine's frame
-        pipeline) alive, and any further API call fails loudly.
+        ``with``-block exit.  Dropping the machine and the
+        sampler/tracker/display references here is deliberate teardown
+        hygiene: a closed handle must not keep stale verifier state (or the
+        guest machine's frame pipeline) alive, and any further API call
+        fails loudly.
         """
         if self._state == "closed" or (self._state == "ended" and not ended):
             return
@@ -764,6 +765,9 @@ class WitnessSession:
             self._observing = False
         self.service.registry.unregister(self)
         self._state = "ended" if ended else "closed"
+        # The guest's clock may hold observers that reach back to this
+        # handle, which would make the whole guest a cycle.
+        self.machine = None
         self.vspec = None
         self._sampler = None
         self._display = None

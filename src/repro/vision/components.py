@@ -93,12 +93,13 @@ def bounding_rect(mask) -> Rect | None:
     return Rect(int(xs.min()), int(ys.min()), int(xs.max() - xs.min() + 1), int(ys.max() - ys.min() + 1))
 
 
-def connected_components(mask, connectivity: int = 8) -> list[Rect]:
-    """Bounding rectangles of the connected True-blobs in ``mask``.
+def component_boxes(mask, connectivity: int = 8) -> list[tuple]:
+    """Bounding boxes ``(y0, x0, y1, x1)`` (ends exclusive) of the
+    connected True-blobs in ``mask``, in label order: the raster order of
+    each blob's first pixel.
 
-    Labelled with ``scipy.ndimage`` (the hot path of differential
-    detection and POF extraction); rectangles come back sorted by reading
-    order (top-to-bottom, then left-to-right).
+    Plain tuples, so callers can filter hundreds of blobs by size before
+    building a :class:`Rect` for the few they keep.
     """
     from scipy import ndimage
 
@@ -107,12 +108,26 @@ def connected_components(mask, connectivity: int = 8) -> list[Rect]:
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     structure = np.ones((3, 3), dtype=bool) if connectivity == 8 else None
     labels, count = ndimage.label(arr, structure=structure)
-    rects: list[Rect] = []
-    for sl in ndimage.find_objects(labels, max_label=count):
-        if sl is None:
-            continue
-        ys, xs = sl
-        rects.append(Rect(int(xs.start), int(ys.start), int(xs.stop - xs.start), int(ys.stop - ys.start)))
+    return [
+        (ys.start, xs.start, ys.stop, xs.stop)
+        for ys, xs in ndimage.find_objects(labels, max_label=count)
+    ]
+
+
+def box_rect(box: tuple) -> Rect:
+    """The :class:`Rect` of a ``(y0, x0, y1, x1)`` box."""
+    y0, x0, y1, x1 = box
+    return Rect(int(x0), int(y0), int(x1 - x0), int(y1 - y0))
+
+
+def connected_components(mask, connectivity: int = 8) -> list[Rect]:
+    """Bounding rectangles of the connected True-blobs in ``mask``.
+
+    Labelled with ``scipy.ndimage`` (the hot path of differential
+    detection and POF extraction); rectangles come back sorted by reading
+    order (top-to-bottom, then left-to-right).
+    """
+    rects = [box_rect(box) for box in component_boxes(mask, connectivity)]
     rects.sort(key=lambda r: (r.y, r.x))
     return rects
 
@@ -133,14 +148,15 @@ def find_rectangles(
     """
     arr = np.asarray(mask, dtype=bool)
     outlines = []
-    for rect in connected_components(arr):
-        if rect.w < min_width or rect.h < min_height:
+    for y0, x0, y1, x1 in component_boxes(arr):
+        if x1 - x0 < min_width or y1 - y0 < min_height:
             continue
-        sub = arr[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
+        sub = arr[y0:y1, x0:x1]
         fill = sub.mean()
         if fill > max_fill:
             continue
         border = np.concatenate([sub[0, :], sub[-1, :], sub[:, 0], sub[:, -1]])
         if border.mean() >= min_border_cover:
-            outlines.append(rect)
+            outlines.append(box_rect((y0, x0, y1, x1)))
+    outlines.sort(key=lambda r: (r.y, r.x))
     return outlines

@@ -3,6 +3,9 @@
 Because vWitness screenshots frequently, unchanged UI does not need to be
 re-validated: only the regions that changed between two consecutive frames
 are passed to the CNN verifiers.  This module computes those regions.
+Past one pass over the two frames (the difference and its row/column
+extent), the work is confined to the changed area: a typed glyph costs a
+few hundred pixels of dilation and labelling, not a whole frame.
 """
 
 from __future__ import annotations
@@ -52,20 +55,42 @@ def changed_regions(
     (e.g. the glyphs of a word being typed) merge into one region, then
     connected components give the bounding rectangles.  Returns an empty
     list when the frames are effectively identical.
+
+    Only the bounding box of the changed pixels, grown by
+    ``merge_radius`` and clipped to the frame, is dilated and labelled:
+    dilation never reaches past it, so the regions are exactly those of
+    the whole frame, at a cost that follows the size of the change.
     """
-    mask = frame_difference(frame_a, frame_b, threshold)
-    if not mask.any():
+    a = as_array(frame_a)
+    b = as_array(frame_b)
+    if a.shape != b.shape:
+        raise ValueError(f"frames must share a shape, got {a.shape} vs {b.shape}")
+    delta = np.abs(a - b)
+    changed = delta > threshold
+    rows = np.flatnonzero(changed.any(axis=1))
+    if not rows.size:
         return []
-    if merge_radius > 0:
-        mask = dilate(mask, merge_radius)
-    delta = np.abs(as_array(frame_a) - as_array(frame_b))
+    cols = np.flatnonzero(changed.any(axis=0))
+    radius = max(merge_radius, 0)
+    y0 = max(int(rows[0]) - radius, 0)
+    x0 = max(int(cols[0]) - radius, 0)
+    y1 = min(int(rows[-1]) + 1 + radius, a.shape[0])
+    x1 = min(int(cols[-1]) + 1 + radius, a.shape[1])
+    changed = changed[y0:y1, x0:x1]
+    delta = delta[y0:y1, x0:x1]
+    mask = dilate(changed, merge_radius) if merge_radius > 0 else changed
     regions = []
     for rect in connected_components(mask):
-        sub_delta = delta[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
-        sub_mask = mask[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
-        changed = int(np.count_nonzero(sub_mask & (sub_delta > threshold)))
-        if changed >= min_pixels:
+        # Every changed pixel lies in the dilated mask, so the changed
+        # pixels in the rectangle are exactly ``changed`` there.
+        box = (slice(rect.y, rect.y2), slice(rect.x, rect.x2))
+        count = int(np.count_nonzero(changed[box]))
+        if count >= min_pixels:
             regions.append(
-                DiffRegion(rect=rect, max_delta=float(sub_delta.max()), changed_pixels=changed)
+                DiffRegion(
+                    rect=rect.translated(x0, y0),
+                    max_delta=float(delta[box].max()),
+                    changed_pixels=count,
+                )
             )
     return regions

@@ -9,6 +9,9 @@ browser entirely and write the framebuffer directly.
 
 from __future__ import annotations
 
+import types
+import weakref
+
 from repro.raster.stacks import RenderStack, reference_stack
 from repro.raster.text import char_advance
 from repro.vision.image import Image
@@ -46,16 +49,27 @@ class Browser:
     # -- extension integration ------------------------------------------------
 
     def add_input_listener(self, callback) -> None:
-        """Register a callback(element, old_value, new_value) for edits."""
-        self._input_listeners.append(callback)
+        """Register a callback(element, old_value, new_value) for edits.
+
+        A bound method is held weakly and dropped once its object is gone:
+        the extension that registers one also holds this browser, and a
+        strong reference back would make the pair a cycle that only the
+        cyclic garbage collector frees, with the whole guest in it.
+        """
+        if isinstance(callback, types.MethodType):
+            self._input_listeners.append(weakref.WeakMethod(callback))
+        else:
+            self._input_listeners.append(lambda: callback)
 
     def add_submit_listener(self, callback) -> None:
         """Register a callback(request_body) fired on form submission."""
         self._submit_listeners.append(callback)
 
     def _notify_input(self, element: el.Element, old, new) -> None:
-        for callback in self._input_listeners:
-            callback(element, old, new)
+        for listener in self._input_listeners:
+            callback = listener()
+            if callback is not None:
+                callback(element, old, new)
 
     # -- painting -----------------------------------------------------------
 

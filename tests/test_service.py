@@ -326,6 +326,42 @@ class TestLifecycle:
         explicit.close()  # idempotent
         assert site.service.active_sessions == 0
 
+    def test_finished_guests_need_no_cycle_collection(self, text_model, image_model):
+        """Reference counting alone frees a finished guest: its frames and
+        arrays never wait for a full cyclic collection.  One guest types
+        and submits; the other leaves after frame 0 and has a clock
+        observer that reaches back to its session, as a timing probe's
+        does."""
+        import gc
+
+        site = make_site(text_model, image_model)
+
+        def typing_guest():
+            client = site.connect("transfer")
+            HonestUser(client.browser).fill_text_input("recipient", "ACC-1234")
+            assert client.submit().certified
+
+        def frame_zero_guest():
+            machine = Machine(640, 480)
+            browser = Browser(machine, site.server.serve_page("transfer"))
+            witness = site.service.open_session(machine)
+            machine.clock.add_observer(lambda now_ms: witness.report)
+            extension = BrowserExtension(browser, site.server, witness)
+            extension.acquire_vspecs("transfer")
+            browser.paint()
+            extension.begin_session()
+            witness.close()
+
+        typing_guest()  # builds the service's lazily built state
+        gc.collect()
+        gc.disable()
+        try:
+            typing_guest()
+            frame_zero_guest()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_hook_exception_leaves_report_consistent(self, text_model, image_model):
         """A raising hook surfaces to the driver but never half-records a frame."""
         site = make_site(text_model, image_model)

@@ -143,6 +143,25 @@ class TestWidgets:
         assert seen and seen[0][0] == "off" and seen[0][1] == "on"
         assert seen[0][2] < 150.0  # checkmark ink visible at notify time
 
+    def test_bound_method_listener_is_held_weakly(self):
+        """A listener object that is gone stops being called; a plain
+        function stays registered while only the browser holds it."""
+        machine, browser, page = _bench([Checkbox("ok", "OK")])
+        seen = []
+
+        class Owner:
+            def on_input(self, element, old, new):
+                seen.append(("owner", new))
+
+        owner = Owner()
+        browser.add_input_listener(owner.on_input)
+        browser.add_input_listener(lambda element, old, new: seen.append(("plain", new)))
+        _click_center(browser, page.elements[0])
+        assert seen == [("owner", "on"), ("plain", "on")]
+        del owner
+        _click_center(browser, page.elements[0])
+        assert seen[2:] == [("plain", "off")]
+
     def test_radio_row_click_selects(self):
         machine, browser, page = _bench([RadioGroup("speed", ["a", "b", "c"])])
         group = page.elements[0]
