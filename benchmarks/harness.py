@@ -23,6 +23,7 @@ from repro.core.display import DisplayValidator
 from repro.core.verifiers import ImageVerifier, TextVerifier
 from repro.crypto import CertificateAuthority
 from repro.datasets.forms import jotform_page, sample_user_entries
+from repro.nn.model import PREDICT_CHUNK
 from repro.raster.stacks import stack_registry
 from repro.server import WebServer
 from repro.server.generate import build_vspec
@@ -65,8 +66,9 @@ def jotform_first_frame(seed: int, text_model, image_model, batched: bool) -> Fi
     browser.paint()
     frame = machine.sample_framebuffer().pixels
     cache = DigestCache()
-    text_verifier = TextVerifier(text_model, batched=batched, cache=cache.scoped("text"))
-    image_verifier = ImageVerifier(image_model, batched=batched, cache=cache.scoped("image"))
+    chunk_size = PREDICT_CHUNK if batched else 1
+    text_verifier = TextVerifier(text_model, cache=cache.scoped("text"), chunk_size=chunk_size)
+    image_verifier = ImageVerifier(image_model, cache=cache.scoped("image"), chunk_size=chunk_size)
     validator = DisplayValidator(vspec, text_verifier, image_verifier)
     t0 = time.perf_counter()
     result = validator.validate(frame)

@@ -46,7 +46,7 @@ def test_ablation_validator_comparison(benchmark, scale, text_model):
     def run():
         pixel = PixelCompareValidator()
         hashv = ImageHashValidator(max_distance=12)
-        cnn = TextVerifier(text_model, batched=True)
+        cnn = TextVerifier(text_model)
         stats = {name: {"fp": 0, "fn": 0} for name in ("pixel", "hash", "cnn")}
         for observed, reference, tampered, char, _other in pairs:
             # benign cross-stack pair: rejection = false positive

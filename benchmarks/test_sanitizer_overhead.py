@@ -3,36 +3,18 @@
 Drives the same soak slice twice through the ``batched-inline-frozen``
 baseline combo on two threads — once disarmed, once with
 :mod:`repro.analysis.sanitizer` armed — and records both rates plus the
-relative overhead into ``bench_summary.json``.  The armed run must stay clean (no lock-order
-inversions, no unmodeled edges, no cross-thread pool checkouts against
-the static model) and change nothing observable: same session, frame,
-and certification counts as the disarmed run.  The bit-identical
-fingerprint contract itself is asserted per-scenario in
-``tests/test_analysis_sanitizer.py``; this benchmark quantifies what
-arming costs at soak scale.
-
-Also micro-times the *disarmed* seam on the hottest instrumented path
-(``PlanBuffers.reserve``) so the zero-cost-when-off claim is a recorded
-number, not a comment.
+relative overhead into ``bench_summary.json``.  The armed run must stay
+clean (no lock-order inversions, no unmodeled edges, no cross-thread
+workspace-arena checkouts against the static model) and change nothing
+observable: same session, frame, and certification counts as the
+disarmed run.  The bit-identical fingerprint contract itself is asserted
+per-scenario in ``tests/test_analysis_sanitizer.py``; this benchmark
+quantifies what arming costs at soak scale.
 """
 
 from __future__ import annotations
 
-import time
-
 from benchmarks.conftest import record_metrics, record_result
-
-
-def _disarmed_reserve_ns(iters: int = 20000) -> float:
-    """Mean ns per steady-state ``reserve`` hit with the seam unset."""
-    from repro.core.planbuf import PlanBuffers
-
-    pool = PlanBuffers()
-    pool.reserve("bench", 64, (8,))  # warm: later calls are pure hits
-    t0 = time.perf_counter()
-    for _ in range(iters):
-        pool.reserve("bench", 64, (8,))
-    return (time.perf_counter() - t0) / iters * 1e9
 
 
 def test_sanitizer_overhead(scale, text_model, image_model):
@@ -63,7 +45,6 @@ def test_sanitizer_overhead(scale, text_model, image_model):
     off_sps = off.sessions_per_second
     on_sps = on.sessions_per_second
     overhead_pct = (off_sps / on_sps - 1.0) * 100.0 if on_sps > 0 else float("inf")
-    reserve_ns = _disarmed_reserve_ns()
 
     content = "\n".join(
         [
@@ -73,9 +54,8 @@ def test_sanitizer_overhead(scale, text_model, image_model):
             f"overhead: {overhead_pct:+.1f}%",
             f"armed run: {summary['acquires']} acquisitions, "
             f"{summary['pairs']} distinct order pairs, "
-            f"{summary['pool_checks']} pool checkouts, "
+            f"{summary['pool_checks']} arena checkouts, "
             f"{len(problems)} violations",
-            f"disarmed reserve hot path: {reserve_ns:.0f} ns/call",
         ]
     )
     record_result("sanitizer_overhead", content)
@@ -91,7 +71,6 @@ def test_sanitizer_overhead(scale, text_model, image_model):
             "order_pairs": summary["pairs"],
             "pool_checks": summary["pool_checks"],
             "violations": len(problems),
-            "disarmed_reserve_ns": round(reserve_ns, 1),
         },
     )
 

@@ -2,7 +2,7 @@
 
 Drives the default scenario matrix (six page archetypes, four user
 scripts — see ``repro.scenarios``) through both engine combinations
-(batched and sequential planning) and asserts **zero** decision/violation
+(chunked and per-unit forwards) and asserts **zero** decision/violation
 divergences, zero crashes, and zero script-contract breaches.  Records sessions/sec
 and the divergence count into ``bench_summary.json``.
 

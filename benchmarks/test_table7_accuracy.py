@@ -21,7 +21,7 @@ def test_table7_validator_accuracy(benchmark, scale, text_model, image_model):
         samples = clickbench_dataset(count=scale["clickbench_samples"], width=480, height=600)
         cb = {"tp": 0, "fn": 0, "tn": 0, "fp": 0, "fn_names": []}
         for sample in samples:
-            verifier = ImageVerifier(image_model, batched=True, cache=DigestCache())
+            verifier = ImageVerifier(image_model, cache=DigestCache())
             accepted = validate_sample(sample, verifier)
             if sample.tampered and not accepted:
                 cb["tp"] += 1

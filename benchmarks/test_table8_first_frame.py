@@ -16,16 +16,19 @@ def _clickbench_times(scale, image_model, batched: bool):
     from repro.core.caches import DigestCache
     from repro.core.verifiers import ImageVerifier
     from repro.datasets.clickbench import clickbench_dataset, validate_sample
+    from repro.nn.model import PREDICT_CHUNK
+
+    chunk_size = PREDICT_CHUNK if batched else 1
 
     samples = clickbench_dataset(count=min(scale["clickbench_samples"], 8), width=480, height=600)
     # Warm-up (untimed): the first large batched forward pays one-off
     # buffer-allocation costs that dwarf steady-state validation when the
     # heap is churned by earlier suite activity; Table VIII measures the
     # latter.
-    validate_sample(samples[0], ImageVerifier(image_model, batched=batched, cache=DigestCache()))
+    validate_sample(samples[0], ImageVerifier(image_model, cache=DigestCache(), chunk_size=chunk_size))
     times = []
     for sample in samples:
-        verifier = ImageVerifier(image_model, batched=batched, cache=DigestCache())
+        verifier = ImageVerifier(image_model, cache=DigestCache(), chunk_size=chunk_size)
         # Collect before every timed sample: a GC pause inherited from
         # earlier suite activity landing inside one measurement skews the
         # per-sample mean far more than steady-state validation varies.

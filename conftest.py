@@ -1,12 +1,12 @@
 """Repo-level pytest configuration.
 
 ``REPRO_WITNESS_SAN=1`` arms witness-san (the runtime lock-order and
-pool-confinement sanitizer, :mod:`repro.analysis.sanitizer`) for the
-whole pytest session: every lock ordering and pooled checkout the run
-performs is recorded and cross-checked against the static model at
-teardown — an inversion, an unmodeled edge, or a cross-thread pool
+arena-confinement sanitizer, :mod:`repro.analysis.sanitizer`) for the
+whole pytest session: every lock ordering and workspace-arena checkout
+the run performs is recorded and cross-checked against the static model
+at teardown — an inversion, an unmodeled edge, or a cross-thread arena
 access fails the session.  The CI ``sanitizer`` job runs the service
-and pool suites this way.
+and validation-plan suites this way.
 """
 
 import os

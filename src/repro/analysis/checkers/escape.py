@@ -1,11 +1,11 @@
-"""Thread-confinement escape analysis for pooled buffers.
+"""Thread-confinement escape analysis for workspace buffers.
 
-PR 7's ``planbuf.thread_pool()`` pools and PR 4's ``infer.Workspace``
-arenas hand out *views into thread-owned resident memory*: a reserved
-row is valid for the current frame on the current thread and is
-overwritten by the next reservation.  CONTRIBUTING states the rule in
-prose ("pooled buffers are thread-confined, no cross-frame row refs");
-``conc-escape`` makes the two statically-decidable shapes mechanical:
+PR 4's ``infer.Workspace`` arenas hand out *views into thread-owned
+resident memory*: a reserved buffer is valid for the current forward on
+the current thread and is overwritten by the next forward of that
+shape.  CONTRIBUTING states the rule in prose ("workspace buffers are
+thread-confined, no cross-call refs"); ``conc-escape`` makes the two
+statically-decidable shapes mechanical:
 
 * a pooled row (or a view of one) **stashed on** ``self`` — the object
   outlives the frame, so the stashed array silently mutates under it on
@@ -14,14 +14,13 @@ prose ("pooled buffers are thread-confined, no cross-frame row refs");
   ``executor.submit(...)`` / ``threading.Thread(...)`` directly or
   captured by a closure that is, violating pool ownership.
 
-Taint starts at ``thread_pool()`` results (``.reserve`` on them) and at
-``Workspace.buf`` reservations, and follows views (subscripts/slices,
-``reshape``/``view``); ``.copy()`` launders it, which is exactly the
-documented way to keep a row.  Plain returns are *not* findings —
-returning a pooled view to a same-thread caller is the transport
-pattern itself — and plan-owned pools (``self.buffers.reserve``) are
-their owner's to stash; the sanitizer twin covers the dynamic remainder (any cross-thread access,
-however the reference traveled).
+Taint starts at ``Workspace.buf`` reservations and follows views
+(subscripts/slices, ``reshape``/``view``); ``.copy()`` launders it,
+which is exactly the documented way to keep a row.  Plain returns are
+*not* findings — returning a workspace view to a same-thread caller is
+how stages compose (``FrozenNet.forward(copy=False)``); the sanitizer
+twin covers the dynamic remainder (any cross-thread access, however the
+reference traveled).
 """
 
 from __future__ import annotations
@@ -47,17 +46,17 @@ class EscapeChecker(Checker):
             id="conc-escape",
             summary="pooled buffer row escapes its owning frame or thread",
             incident=(
-                "PR 7's pooled plan transport and PR 4's workspace arenas "
-                "reuse backing memory every frame; the confinement rule "
-                "('no cross-frame row refs, pools are thread-confined') "
-                "lived only in CONTRIBUTING prose — one stashed row means "
-                "verdicts computed over a later frame's pixels"
+                "PR 4's workspace arenas reuse backing memory every "
+                "forward; the confinement rule ('no cross-call refs, "
+                "arenas are thread-confined') lived only in CONTRIBUTING "
+                "prose — one stashed buffer means results computed over "
+                "a later forward's activations"
             ),
             hint=(
-                "don't keep pooled rows: .copy() the data if it must "
-                "outlive the frame, and never hand a pooled view to "
-                "another thread (reserve from the receiving thread's own "
-                "pool instead)"
+                "don't keep workspace buffers: .copy() the data if it "
+                "must outlive the call, and never hand a workspace view "
+                "to another thread (reserve from the receiving thread's "
+                "own arena instead)"
             ),
         ),
     )
@@ -66,34 +65,23 @@ class EscapeChecker(Checker):
         graph = callgraph.get(project, self.config)
         findings = []
         for fn in graph.functions_of(module):
-            findings.extend(self._check_function(graph, module, fn))
+            findings.extend(self._check_function(module, fn))
         return findings
 
     # -- taint ----------------------------------------------------------------
 
-    def _taint_of(self, graph, module, cls_key, expr, tainted: dict) -> str | None:
-        """``"pool"``/``"row"`` if ``expr`` is pool-derived, else ``None``."""
+    def _taint_of(self, expr, tainted: dict) -> str | None:
+        """``"row"`` if ``expr`` is a workspace buffer or a view of one."""
         if isinstance(expr, ast.Name):
             return tainted.get(expr.id)
         if isinstance(expr, ast.Subscript):
-            inner = self._taint_of(graph, module, cls_key, expr.value, tainted)
-            return "row" if inner == "row" else None
-        if isinstance(expr, ast.Call):
+            return self._taint_of(expr.value, tainted)
+        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
             func = expr.func
-            if isinstance(func, ast.Attribute):
-                recv = self._taint_of(graph, module, cls_key, func.value, tainted)
-                if func.attr in _VIEW_METHODS and recv == "row":
-                    return "row"
-                if func.attr == "reserve" and recv == "pool":
-                    return "row"
-                if func.attr == "buf":
-                    return "row"  # Workspace.buf — the arena reservation
-            target = graph.resolve_target(module, cls_key, expr)
-            if target is None:
-                resolved = module.resolve_call(expr)
-                target = resolved
-            if target in self.config.pool_factories:
-                return "pool"
+            if func.attr == "buf":
+                return "row"  # Workspace.buf — the arena reservation
+            if func.attr in _VIEW_METHODS:
+                return self._taint_of(func.value, tainted)
         return None
 
     def _tainted_names_in(self, node, tainted: dict) -> list:
@@ -109,10 +97,9 @@ class EscapeChecker(Checker):
 
     # -- per-function walk ----------------------------------------------------
 
-    def _check_function(self, graph, module, fn) -> list:
+    def _check_function(self, module, fn) -> list:
         findings = []
         tainted: dict = {}
-        cls_key = fn.cls_key
 
         def finding(node, message: str) -> None:
             findings.append(
@@ -169,7 +156,7 @@ class EscapeChecker(Checker):
                         return
                     continue
                 caught = self._tainted_names_in(arg, tainted)
-                taint = self._taint_of(graph, module, cls_key, arg, tainted)
+                taint = self._taint_of(arg, tainted)
                 if caught or taint == "row":
                     finding(
                         call,
@@ -186,7 +173,7 @@ class EscapeChecker(Checker):
                     closures[node.name] = self._tainted_names_in(node, tainted)
                     return
             if isinstance(node, ast.Assign):
-                taint = self._taint_of(graph, module, cls_key, node.value, tainted)
+                taint = self._taint_of(node.value, tainted)
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         if taint is not None:

@@ -82,9 +82,8 @@ class Checker:
 
 #: Module prefixes whose numeric code must stay float32-clean: the
 #: raster/vision/nn stack feeding model inputs (PR 4's float64 leaks all
-#: lived here), plus the core transport/validation layer since PR 7's
-#: pooled plan buffers made float32 the canonical transport dtype
-#: (``ValidationPlan.add_region`` once re-cast unit inputs to float64).
+#: lived here), plus the core validation layer, which casts unit inputs
+#: to float32 at the model boundary.
 DTYPE_SCOPE = ("repro.core", "repro.nn", "repro.vision", "repro.raster")
 
 #: Modules feeding the soak's engine-independent session fingerprint
@@ -108,10 +107,9 @@ DETERMINISM_SCOPE = (
 #: claiming its shared state is guarded.
 LOCK_SCOPE = ("repro",)
 
-#: Hot-path allocation discipline: the frozen engine and — since the
-#: zero-copy plan transport — the core collect pass and the vision
-#: resampler it writes through (everywhere arenas/pooled buffers promise
-#: allocation-free steady state).
+#: Hot-path allocation discipline: the frozen engine, whose workspace
+#: arenas promise an allocation-free steady state, and any function
+#: decorated ``@hot_path`` in the core and vision layers.
 #: ``repro.obs`` joins for the tracer fast path: ``maybe_span`` and
 #: ``SpanTracer.span`` sit inside every frame, so disabled tracing must
 #: stay statically allocation-free (obs stays OUT of the determinism
@@ -136,14 +134,9 @@ LIFECYCLE_SCOPE = ("repro",)
 #: is exempt.
 CONC_SCOPE = ("repro",)
 
-#: Thread-confinement escape discipline: everywhere pooled transport
-#: buffers (``planbuf.thread_pool``) and frozen-engine workspace arenas
-#: circulate.
+#: Thread-confinement escape discipline: everywhere frozen-engine
+#: workspace buffers may circulate.
 ESCAPE_SCOPE = ("repro.core", "repro.nn", "repro.vision")
-
-#: Calls whose result is a thread-confined buffer pool: rows reserved
-#: from one must never outlive the frame or cross a thread boundary.
-POOL_FACTORIES = ("repro.core.planbuf.thread_pool",)
 
 #: The audited lock-order ledger (CONTRIBUTING "lock discipline").  The
 #: call-graph pass infers most ordering edges; orderings it cannot see —
@@ -181,7 +174,6 @@ class AnalysisConfig:
     lifecycle_scope: tuple = LIFECYCLE_SCOPE
     conc_scope: tuple = CONC_SCOPE
     escape_scope: tuple = ESCAPE_SCOPE
-    pool_factories: tuple = POOL_FACTORIES
     declared_lock_order: tuple = DECLARED_LOCK_ORDER
     hot_functions: tuple = (
         "repro.nn.infer:_ConvStage.run",
@@ -190,10 +182,6 @@ class AnalysisConfig:
         "repro.nn.infer:_DenseStage.run",
         "repro.nn.infer:_ReLUStage.run",
         "repro.nn.infer:FrozenNet._run",
-        # Zero-copy plan transport: the resample path stays
-        # allocation-free (the collect-side writers in
-        # repro.core.verifiers carry @hot_path directly).
-        "repro.vision.ops:resize_bilinear",
     )
 
     def scoped_to(self, prefix: str) -> "AnalysisConfig":
@@ -216,7 +204,6 @@ class AnalysisConfig:
             lifecycle_scope=remap(self.lifecycle_scope),
             conc_scope=remap(self.conc_scope),
             escape_scope=remap(self.escape_scope),
-            pool_factories=tuple(remap_name(f) for f in self.pool_factories),
             declared_lock_order=tuple(
                 (remap_name(a), remap_name(b)) for a, b in self.declared_lock_order
             ),

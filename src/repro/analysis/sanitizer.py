@@ -19,12 +19,13 @@ performs and cross-checks it against the static model:
   acquiring thread (a per-thread stack with reentrancy depths;
   ``Condition.wait`` keeps the stack unchanged — the wait atomically
   releases and reacquires the same condition).
-* pooled-buffer checkouts are ownership-tagged: ``PlanBuffers.reserve``
-  and ``_Arena.workspace`` call :meth:`SanitizerState.note_pool_use`
-  through the module-global ``_SAN`` seam (``None`` when disabled — the
-  ``NULL_SPAN`` / ``FaultInjector`` disarmed pattern, one ``is None``
-  test of overhead).  The first reservation claims the pool for its
-  thread; any later reservation from another thread is a confinement
+* frozen-engine workspace checkouts are ownership-tagged:
+  ``_Arena.workspace`` calls :meth:`SanitizerState.note_pool_use`
+  through the module-global ``_SAN`` seam of :mod:`repro.nn.infer`
+  (``None`` when disabled — the ``NULL_SPAN`` / ``FaultInjector``
+  disarmed pattern, one ``is None`` test of overhead).  An arena is
+  pinned to its thread at creation (an untagged one is claimed by its
+  first checkout); any checkout from another thread is a confinement
   violation, however the reference traveled.
 
 :meth:`SanitizerState.check` then fails on
@@ -36,13 +37,13 @@ performs and cross-checks it against the static model:
   in ``AnalysisConfig.declared_lock_order``): either the nesting is new
   and must join the ledger, or the static pass has a blind spot worth
   recording;
-* **pool violations** — cross-thread pooled-buffer use.
+* **pool violations** — cross-thread workspace-arena use.
 
 Module-level locks created at import time (``infer._TWIN_LOCK``,
 ``zoo._REGISTRY_LOCK``) predate :func:`enable` and stay real: the
 sanitizer observes orderings among locks created while armed, which in
 practice means every per-object runtime lock.  Zero cost when off:
-nothing is patched and the pool seam is a ``None`` check.
+nothing is patched and the arena seam is a ``None`` check.
 """
 
 from __future__ import annotations
@@ -224,10 +225,8 @@ class SanitizerState:
 
     @staticmethod
     def _set_seams(value) -> None:
-        from repro.core import planbuf
         from repro.nn import infer
 
-        planbuf._SAN = value
         infer._SAN = value
 
     def _next_seq(self) -> int:

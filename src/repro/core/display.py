@@ -18,15 +18,15 @@ elements runs on every validated frame, limited to what changed.
 
 Step (3) is two-phase.  A **collect** pass walks the whole manifest and
 funnels every CNN unit input of the frame — glyph tiles from all text
-entries, 32x32 observed/expected pairs from all image regions — into one
-:class:`~repro.core.verifiers.ValidationPlan`, recording a deferred
-failure emitter per entry (structural/chrome checks are plain numpy and
-resolve during collection).  An **execute** pass then runs the plan as a
-single vectorized forward per model kind (plus one batched round per
+entries, 32x32 observed/expected pairs from all image regions — into a
+fresh :class:`~repro.core.verifiers.ValidationPlan`, recording a
+deferred failure emitter per entry (structural/chrome checks are plain
+numpy and resolve during collection).  An **execute** pass then hands
+the plan to each verifier (one round per model kind plus one per
 alignment-retry ring) and the emitters scatter verdicts back into
-per-entry :class:`ElementFailure`\\ s, in manifest order.  Whether those
-forwards are vectorized or per-unit is the verifiers' ``batched`` flag;
-the verdicts are identical either way.
+per-entry :class:`ElementFailure`\\ s, in manifest order.  How many rows
+each model forward takes is the verifiers' ``chunk_size``; the verdicts
+are identical for every chunk size.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.vision.image import DTYPE as RASTER_DTYPE
 from repro.vision.image import Image
 from repro.vision.match import PageSpectrum, best_vertical_offset, normalized_cross_correlation
 from repro.vspec.spec import CharCell, ManifestEntry, VSpec
-from repro.web.render import DEFAULT_POF, POFStyle, draw_input_value
+from repro.web.render import DEFAULT_POF, draw_input_value
 
 #: Minimum NCC score for viewport identification; below this the frame
 #: does not look like any window of the expected page at all.
@@ -99,15 +99,11 @@ class DisplayValidator:
         vspec: VSpec,
         text_verifier: TextVerifier,
         image_verifier: ImageVerifier,
-        pof_style: POFStyle = DEFAULT_POF,
-        check_background: bool = True,
         tracer=None,
     ) -> None:
         self.vspec = vspec
         self.text_verifier = text_verifier
         self.image_verifier = image_verifier
-        self.pof_style = pof_style
-        self.check_background = check_background
         #: Optional :class:`repro.obs.spans.SpanTracer` timing the
         #: collect/execute/scatter phases; ``None`` = no-op fast path.
         self.tracer = tracer
@@ -119,10 +115,6 @@ class DisplayValidator:
         self._nested: dict = {}
         self._padded_key: tuple | None = None
         self._padded_expected: np.ndarray | None = None
-        #: The reusable frame plan: pooled transport buffers stay resident
-        #: across frames (reset per validate), so steady-state collection
-        #: writes crops into already-allocated memory.
-        self._plan = ValidationPlan()
 
     # -- viewport -----------------------------------------------------------
 
@@ -313,7 +305,7 @@ class DisplayValidator:
 
         clean = frame_pixels
         if pof_obs is not None and pof_obs.present:
-            clean = mask_pofs(frame_pixels, pof_obs, self.pof_style)
+            clean = mask_pofs(frame_pixels, pof_obs)
 
         entries = self.vspec.visible_entries(viewport)
         if changed_rects is not None:
@@ -324,13 +316,12 @@ class DisplayValidator:
             if not changed_rects:
                 result.skipped_unchanged = True
 
-        # Phase 1 (collect): gather every unit input of the frame into the
-        # reused plan (pooled buffers, reset per frame); each entry
-        # registers a deferred emitter that scatters the executed verdicts
-        # back into per-entry failures, in entry order.
-        plan = self._plan
+        # Phase 1 (collect): gather every unit input of the frame into a
+        # fresh plan; each entry registers a deferred emitter that
+        # scatters the executed verdicts back into per-entry failures, in
+        # entry order.
+        plan = ValidationPlan()
         with maybe_span(self.tracer, "plan.collect"):
-            plan.reset()
             deferred: list = []
             for entry in entries:
                 self._collect_entry(
@@ -338,8 +329,8 @@ class DisplayValidator:
                 )
         result.entries_checked = len(entries)
 
-        # Phase 2 (execute): one vectorized forward per model kind (plus
-        # batched alignment-retry rings), then scatter.
+        # Phase 2 (execute): one round per model kind (plus the
+        # alignment-retry rings), then scatter.
         with maybe_span(self.tracer, "plan.execute"):
             text_verdicts = self.text_verifier.execute_plan(plan)
             image_verdicts = self.image_verifier.execute_plan(plan)
@@ -347,8 +338,7 @@ class DisplayValidator:
             for emit in deferred:
                 emit(result, text_verdicts, image_verdicts)
 
-        if self.check_background:
-            self._validate_background(clean, offset, viewport, result, changed_rects)
+        self._validate_background(clean, offset, viewport, result, changed_rects)
 
         result.plan_text_units = plan.text_unit_count
         result.plan_image_pairs = plan.image_pair_count
@@ -584,7 +574,7 @@ class DisplayValidator:
         fy = entry.rect.y - offset
         interior = frame_pixels[fy + 1 : fy + entry.rect.h - 1, entry.rect.x + 1 : entry.rect.x2 - 1].copy()
         # List-selection shading is element state, not content: normalize it.
-        selection_band = np.abs(interior - self.pof_style.list_selection_intensity) <= 6.0
+        selection_band = np.abs(interior - DEFAULT_POF.list_selection_intensity) <= 6.0
         interior[selection_band] = 252.0
 
         expected = nested.expected

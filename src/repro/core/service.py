@@ -45,12 +45,12 @@ from repro.core.timing import SessionTiming
 from repro.core.verifiers import ImageVerifier, TextVerifier
 from repro.crypto.ca import CertificateAuthority
 from repro.faults import FaultInjector, FaultPlan, RuntimeFaultError
+from repro.nn.model import PREDICT_CHUNK
 from repro.obs.spans import maybe_span
 from repro.crypto.keys import MeasuredState, SealedSigningKey, generate_signing_key
 from repro.vision.components import Rect
 from repro.vspec.spec import VSpec
 from repro.web.hypervisor import Machine
-from repro.web.render import DEFAULT_POF, POFStyle
 
 #: Stride between auto-derived per-session sampler seeds (a prime far from
 #: the small integers humans pin by hand, so derived seeds don't collide
@@ -75,21 +75,15 @@ class WitnessConfig:
     guest) without touching shared state.
     """
 
-    text_model_variant: str = "base"
     #: Plan-level batching: with ``True`` each frame's collected
-    #: ValidationPlan executes as one vectorized forward per model kind
-    #: (the paper's GPU setup); with ``False`` every unit input is its own
-    #: forward (the CPU setup).  Verdicts are identical either way.
+    #: ValidationPlan runs through the model in chunks of up to
+    #: :data:`~repro.nn.model.PREDICT_CHUNK` unit inputs (the paper's GPU
+    #: setup); with ``False`` every unit input is its own forward (the
+    #: CPU setup).  Verdicts are identical either way.
     batched: bool = False
     caching: bool = True
-    cache_entries: int = 100_000
-    #: Upper bound on the per-forward batch in batched mode (bounds peak
-    #: activation memory for large plans); ``None`` disables chunking.
-    predict_chunk: int | None = 512
     sampler_seed: int = 0
     periodic_sampling: bool = False
-    pof_style: POFStyle = DEFAULT_POF
-    check_background: bool = True
     subject: str = "client-1"
     #: Frame-span tracing (:mod:`repro.obs`).  Off by default: disabled
     #: tracing costs one ``is None`` test per span site and zero
@@ -119,10 +113,6 @@ class WitnessConfig:
     max_session_faults: int = 3
 
     def __post_init__(self) -> None:
-        if self.predict_chunk is not None and self.predict_chunk < 1:
-            raise ValueError(
-                f"predict_chunk must be None (unchunked) or >= 1, got {self.predict_chunk}"
-            )
         if self.flight_frames < 1:
             raise ValueError(f"flight_frames must be >= 1, got {self.flight_frames}")
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
@@ -316,7 +306,7 @@ class WitnessService:
             # The zoo memoizes per process: a second service never retrains.
             from repro.nn.zoo import get_image_model, get_text_model
 
-            text_model = text_model or get_text_model(self.config.text_model_variant)
+            text_model = text_model or get_text_model()
             image_model = image_model or get_image_model()
         self.text_model = text_model
         self.image_model = image_model
@@ -338,7 +328,7 @@ class WitnessService:
         self.submission = SubmissionValidator(sealed_key, measured_state, certificate)
 
         self.shared_cache: DigestCache | None = (
-            DigestCache(self.config.cache_entries) if self.config.caching else None
+            DigestCache() if self.config.caching else None
         )
         #: The service-wide deterministic fault injector; ``None`` unless
         #: the config carries a :class:`~repro.faults.FaultPlan`.  One
@@ -421,7 +411,7 @@ class WitnessService:
             return None, None
         base = self.shared_cache
         if base is None:
-            base = DigestCache(cfg.cache_entries)
+            base = DigestCache()
             if self.fault_injector is not None:
                 base.fault_hook = self.fault_injector.cache_hook
         return base.scoped("text"), base.scoped("image")
@@ -517,7 +507,7 @@ class WitnessService:
     def telemetry(self):
         """One :class:`~repro.obs.telemetry.TelemetrySnapshot` federating
         every stats island: sessions, cache, health, spans, flight,
-        arenas, transport pools."""
+        arenas."""
         from repro.obs.telemetry import build_snapshot
 
         return build_snapshot(self)
@@ -653,29 +643,23 @@ class WitnessSession:
         self.report = SessionReport()
         text_cache, image_cache = self.service.session_cache_views(self.config)
         self._tracer = self.service.session_tracer(self.config, self.id)
+        chunk_size = PREDICT_CHUNK if self.config.batched else 1
         self._text_verifier = TextVerifier(
             self.service.text_model,
-            batched=self.config.batched,
             cache=text_cache,
-            chunk_size=self.config.predict_chunk,
+            chunk_size=chunk_size,
             tracer=self._tracer,
             faults=self.service.fault_injector,
         )
         self._image_verifier = ImageVerifier(
             self.service.image_model,
-            batched=self.config.batched,
             cache=image_cache,
-            chunk_size=self.config.predict_chunk,
+            chunk_size=chunk_size,
             tracer=self._tracer,
             faults=self.service.fault_injector,
         )
         self._display = DisplayValidator(
-            vspec,
-            self._text_verifier,
-            self._image_verifier,
-            pof_style=self.config.pof_style,
-            check_background=self.config.check_background,
-            tracer=self._tracer,
+            vspec, self._text_verifier, self._image_verifier, tracer=self._tracer
         )
         self._tracker = InteractionTracker(
             vspec, self.machine, self._text_verifier, self._image_verifier
@@ -890,7 +874,7 @@ class WitnessSession:
                     for e in self.vspec.input_entries()
                     if e.rect.y2 - offset > 0 and e.rect.y - offset < pixels.shape[0]
                 ]
-                pof_obs = extract_pofs(pixels, self.config.pof_style, input_rects=input_rects_frame)
+                pof_obs = extract_pofs(pixels, input_rects=input_rects_frame)
                 if pof_obs.present:
                     for violation in check_pof_consistency(pof_obs, input_rects_frame):
                         self._record_violation(Violation("pof-consistency", violation))

@@ -23,7 +23,6 @@ from repro.crypto.ca import CertificateAuthority
 from repro.crypto.keys import MeasuredState, SealedSigningKey, generate_signing_key
 from repro.vspec.spec import VSpec
 from repro.web.hypervisor import Machine
-from repro.web.render import DEFAULT_POF, POFStyle
 
 __all__ = ["SessionReport", "VWitness", "install_vwitness"]
 
@@ -48,7 +47,7 @@ class VWitness:
     kwargs of the historical constructor map onto a
     :class:`WitnessConfig`.  ``batched=True`` enables frame-level plan
     batching (one vectorized forward per model kind per frame, chunked at
-    ``predict_chunk`` unit inputs).  New code should use the service API
+    :data:`~repro.nn.model.PREDICT_CHUNK` unit inputs).  New code should use the service API
     directly — it shares models, key material and caches across guests.
     """
 
@@ -62,21 +61,15 @@ class VWitness:
         image_model=None,
         batched: bool = False,
         caching: bool = True,
-        predict_chunk: int | None = 512,
         sampler_seed: int = 0,
         periodic_sampling: bool = False,
-        pof_style: POFStyle = DEFAULT_POF,
-        check_background: bool = True,
         tracing: bool = False,
     ) -> None:
         config = WitnessConfig(
             batched=batched,
             caching=caching,
-            predict_chunk=predict_chunk,
             sampler_seed=sampler_seed,
             periodic_sampling=periodic_sampling,
-            pof_style=pof_style,
-            check_background=check_background,
             tracing=tracing,
         )
         self.machine = machine

@@ -2,44 +2,27 @@
 
 The *text verifier* consumes one rendered character tile plus the expected
 character; the *image verifier* consumes a 32x32 observed/expected region
-pair (paper Table II).  Both support:
+pair (paper Table II).  Each wrapper counts model invocations (the unit
+of Table VI) and caches verdicts keyed by a digest of the unit input
+(paper §IV-A Caching).
 
-* **sequential** mode — one model forward per unit input (the paper's
-  CPU setup), and
-* **batched** mode — all unit inputs of a call in one vectorized forward
-  (the GPU-accelerated setup; batching is where the speedup comes from).
+Frame-level plans
+-----------------
 
-Each wrapper counts model invocations (the unit of Table VI) and caches
-verdicts keyed by a digest of the unit input (paper §IV-A Caching).
-
-Frame-level plan batching
--------------------------
-
-Per-entry calls cap vectorization at one manifest entry.  A
-:class:`ValidationPlan` instead collects *every* unit input of a frame —
-glyph tiles from all text entries, 32x32 observed/expected pairs from all
-image regions — so :meth:`TextVerifier.execute_plan` and
-:meth:`ImageVerifier.execute_plan` can run the whole frame as one
-(chunked) vectorized forward per model kind, plus one extra batched round
-per alignment-retry offset ring for the cells that fail the nominal crop.
+A :class:`ValidationPlan` collects *every* unit input of a frame — glyph
+tiles from all text entries, 32x32 observed/expected pairs from all image
+regions — as plain per-frame arrays.  :meth:`TextVerifier.execute_plan`
+and :meth:`ImageVerifier.execute_plan` stack them once, cast them to
+float32 and scale them in place, then run the cache misses through the
+model in chunks of ``chunk_size`` rows, plus one extra round per
+alignment-retry offset ring for the cells that fail the nominal crop.
 The per-entry methods (``verify_cells``, ``verify_region``) are thin
-wrappers that build and execute a single-entry plan, so both modes share
-one code path and produce identical verdicts.
+wrappers that build and execute a single-entry plan.
 
-Zero-copy plan transport
-------------------------
-
-A plan does not hold lists of per-unit arrays: it owns pooled
-``(N, 32, 32)`` float32 buffers (:class:`repro.core.planbuf.PlanBuffers`)
-plus plain metadata columns, and the collect pass writes every crop in
-place (``glyph_tile_from_frame(..., out=row)``,
-:func:`region_tiles_into`).  Execution feeds buffer *views* to the model
-— pending rows are gathered into the executing thread's pooled scratch,
-normalized in place, and handed to the frozen engine without an
-intermediate stack; the alignment-retry rings re-extract failing cells
-into one reusable ring buffer per round.  Steady-state repeated-frame
-validation therefore performs zero per-unit array allocations; the
-``hot-alloc`` witness-lint rule pins the buffer-writing functions.
+There is one forward path with two chunk sizes: the paper's GPU setup
+forwards up to :data:`~repro.nn.model.PREDICT_CHUNK` rows at once, its
+CPU setup (``chunk_size=1``) forwards every row alone.  Verdicts and
+invocation counts are identical; only ``forwards`` differs.
 
 Frozen inference
 ----------------
@@ -56,8 +39,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import hot_path
-from repro.core.planbuf import PLAN_DTYPE, PlanBuffers, thread_pool
 from repro.obs.spans import maybe_span
 from repro.nn.data import CHAR_TO_INDEX, collapse_char
 from repro.nn.infer import fail_closed_verdicts, predict_fn
@@ -79,8 +60,10 @@ STRUCTURAL_NCC_FLOOR = 0.80
 #: intensity alignment for structural matching.
 STRUCTURAL_MAD_CEILING = 10.0
 
-#: Shared empty verdict-tile array (plans with no units of a kind).
-_NO_TILES = np.zeros((0, TILE, TILE), dtype=PLAN_DTYPE)
+#: Dtype of unit inputs at the model boundary: tiles are cast to it
+#: before the in-place ``/ 255`` so the scaling runs in float32, and the
+#: cache keys digest the cast tile.
+PLAN_DTYPE = np.float32
 
 
 def structural_match(
@@ -125,8 +108,7 @@ def _paste_window(frame: np.ndarray, fx: int, fy: int, w: int, h: int, dst: np.n
     """Copy the clipped ``(fx, fy, w, h)`` window of ``frame`` into ``dst``
     starting at column ``dst_x`` (``dst`` is pre-filled with background).
 
-    Same clip math as :meth:`repro.vision.image.Image.crop_clipped`, but
-    writing into a caller-owned buffer instead of allocating.
+    Same clip math as :meth:`repro.vision.image.Image.crop_clipped`.
     """
     fh, fw = frame.shape
     sx0, sy0 = max(fx, 0), max(fy, 0)
@@ -135,23 +117,19 @@ def _paste_window(frame: np.ndarray, fx: int, fy: int, w: int, h: int, dst: np.n
         dst[sy0 - fy : sy1 - fy, dst_x + (sx0 - fx) : dst_x + (sx1 - fx)] = frame[sy0:sy1, sx0:sx1]
 
 
-@hot_path
 def glyph_tile_from_frame(
     frame_pixels: np.ndarray,
     cell: CharCell,
     offset_x: int,
     offset_y: int,
     background: float = 255.0,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Extract the square glyph region for a manifest character cell.
 
     Mirrors :func:`repro.raster.text.render_text_line` geometry: glyph
-    tiles are squares of side ``cell.h`` centred in the advance-wide cell.
-    ``offset_*`` translate page coordinates into frame coordinates (the
-    viewport scroll).  Writes the 32x32 tile into ``out`` when given (a
-    pooled plan-buffer row; the float32 cast happens on the write) and
-    returns it; without ``out`` a fresh float64 tile is returned.
+    tiles are squares of side ``cell.h`` centred in the advance-wide cell,
+    resampled to 32x32.  ``offset_*`` translate page coordinates into
+    frame coordinates (the viewport scroll).
     """
     size = cell.h
     advance = cell.w
@@ -165,22 +143,11 @@ def glyph_tile_from_frame(
         x0 = cell.x
         pad_l = (size - advance) // 2
         src_w = advance
-    fy = cell.y - offset_y
-    fx = x0 - offset_x
-    frame = as_array(frame_pixels)
-    if out is None:
-        # witness-lint: allow[hot-alloc] -- compat path: caller gave no out= row
-        out = np.empty((TILE, TILE), dtype=RASTER_DTYPE)
+    square = np.full((size, size), background, dtype=RASTER_DTYPE)
+    _paste_window(as_array(frame_pixels), x0 - offset_x, cell.y - offset_y, src_w, size, square, pad_l)
     if size == TILE:
-        out.fill(background)
-        _paste_window(frame, fx, fy, src_w, size, out, pad_l)
-        return out
-    pool = thread_pool()
-    square = pool.reserve(("glyph-square", size), 1, (size, size), dtype=RASTER_DTYPE)[0]
-    square.fill(background)
-    _paste_window(frame, fx, fy, src_w, size, square, pad_l)
-    scratch = pool.reserve(("resize-scratch",), 4, (TILE, TILE), dtype=RASTER_DTYPE)
-    return resize_bilinear(square, TILE, TILE, out=out, scratch=scratch[:4])
+        return square
+    return resize_bilinear(square, TILE, TILE)
 
 
 def split_region_into_tiles(region: np.ndarray, background: float = 255.0) -> list:
@@ -189,7 +156,6 @@ def split_region_into_tiles(region: np.ndarray, background: float = 255.0) -> li
     Returns ``(tile, (row, col))`` pairs; regions smaller than one tile
     yield a single padded tile.  This is the unit-input decomposition the
     image verifier is invoked on (paper: "a 32-by-32 sub-region").
-    Allocating compat form of :func:`region_tiles_into`.
     """
     h, w = region.shape
     tiles = []
@@ -204,38 +170,6 @@ def split_region_into_tiles(region: np.ndarray, background: float = 255.0) -> li
                 tile[: y1 - y0, : x1 - x0] = region[y0:y1, x0:x1]
             tiles.append((tile, (r, c)))
     return tiles
-
-
-def region_tile_count(shape: tuple) -> int:
-    """How many 32x32 unit tiles a region of ``shape`` decomposes into."""
-    h, w = shape
-    return max(1, (h + TILE - 1) // TILE) * max(1, (w + TILE - 1) // TILE)
-
-
-@hot_path
-def region_tiles_into(region: np.ndarray, out: np.ndarray, background: float = 255.0) -> int:
-    """Tile a region into 32x32 unit inputs written into rows of ``out``.
-
-    Same decomposition (and padding) as :func:`split_region_into_tiles`,
-    but each tile is written in place into ``out[i]`` (a pooled plan
-    buffer) instead of being allocated.  Returns the tile count.
-    """
-    h, w = region.shape
-    rows = max(1, (h + TILE - 1) // TILE)
-    cols = max(1, (w + TILE - 1) // TILE)
-    i = 0
-    for r in range(rows):
-        y0 = r * TILE
-        y1 = min(y0 + TILE, h)
-        for c in range(cols):
-            x0 = c * TILE
-            x1 = min(x0 + TILE, w)
-            tile = out[i]
-            tile.fill(background)
-            if y1 > y0 and x1 > x0:
-                tile[: y1 - y0, : x1 - x0] = region[y0:y1, x0:x1]
-            i += 1
-    return i
 
 
 def forwards_for(units: int, chunk_size: int | None) -> int:
@@ -278,51 +212,23 @@ def _dedupe_pending(keys: list):
     return rep_positions, row_of
 
 
-class _PairRows:
-    """Sequence view pairing rows of two ``(N, 32, 32)`` buffers.
-
-    Lets :meth:`ImageVerifier.verify_pairs` consume pooled plan columns
-    through the same indexing protocol as a compat list of
-    ``(observed, expected)`` tuples, without materializing pair objects.
-    """
-
-    __slots__ = ("observed", "expected")
-
-    def __init__(self, observed: np.ndarray, expected: np.ndarray) -> None:
-        self.observed = observed
-        self.expected = expected
-
-    def __len__(self) -> int:
-        return self.observed.shape[0]
-
-    def __getitem__(self, i):
-        return self.observed[i], self.expected[i]
-
-
 class ValidationPlan:
     """Every verifier unit input of one frame, collected before execution.
 
     The collect phase (:meth:`repro.core.display.DisplayValidator.validate`)
     walks the whole manifest and funnels unit inputs here; the execute
-    phase then runs one vectorized (chunked) forward per model kind and
-    scatters verdicts back to the registered index ranges/groups.  Text
-    units keep per-unit retry metadata so the alignment-retry pyramid runs
-    as one batched round per offset ring across *all* failing cells of
-    the frame, instead of up to 12 serial rounds per entry.
+    phase then runs the model once per chunk of cache misses per model
+    kind and scatters verdicts back to the registered index ranges/groups.
+    Text units keep per-unit retry metadata so the alignment-retry pyramid
+    runs as one round per offset ring across *all* failing cells of the
+    frame, instead of up to 12 serial rounds per entry.
 
-    Unit inputs live in pooled ``(N, 32, 32)`` float32 buffers owned by
-    ``self.buffers`` (thread-confined to the collecting thread); a plan
-    is reused across frames via :meth:`reset`, so steady-state collection
-    writes into resident memory.
+    Unit inputs are kept as plain 32x32 arrays, one list per column, and
+    stacked into float32 ``(N, 32, 32)`` arrays when read.  A plan holds
+    one frame: the display validator builds a fresh one per frame.
     """
 
-    #: Pool keys of the plan's transport columns.
-    TEXT_KEY = "text-tiles"
-    IMAGE_OBS_KEY = "image-obs"
-    IMAGE_EXP_KEY = "image-exp"
-
-    def __init__(self, buffers: PlanBuffers | None = None) -> None:
-        self.buffers = PlanBuffers() if buffers is None else buffers
+    def __init__(self) -> None:
         #: Expected character per text unit.
         self.text_chars: list = []
         #: Per-unit alignment-retry metadata: ``(frame_pixels, cell,
@@ -333,31 +239,12 @@ class ValidationPlan:
         self.image_groups: list = []  # (start, stop) ranges into image pairs
         #: Retry rings actually executed (filled by TextVerifier.execute_plan).
         self.text_retry_rounds = 0
-        self._text_count = 0
-        self._image_count = 0
-        self._text_backing: np.ndarray | None = None
-        self._image_obs_backing: np.ndarray | None = None
-        self._image_exp_backing: np.ndarray | None = None
-
-    def reset(self) -> None:
-        """Forget all collected units; keep the pooled buffers resident.
-
-        Reset marks a frame boundary: pool ownership is released so the
-        thread driving *this* frame claims the buffers (sessions migrate
-        between worker threads frame to frame; witness-san flags only
-        mid-frame cross-thread use).
-        """
-        self.buffers.release_ownership()
-        self.text_chars.clear()
-        self.text_retries.clear()
-        self.image_groups.clear()
-        self.text_retry_rounds = 0
-        self._text_count = 0
-        self._image_count = 0
+        self._text_tiles: list = []
+        self._image_observed: list = []
+        self._image_expected: list = []
 
     # -- collection --------------------------------------------------------
 
-    @hot_path
     def add_cells(
         self,
         frame_pixels: np.ndarray,
@@ -369,50 +256,24 @@ class ValidationPlan:
     ) -> slice:
         """Queue manifest character cells; returns their verdict slice.
 
-        Each cell's glyph tile is extracted straight into the plan's
-        pooled text buffer.  ``retry=False`` queues the cells without
-        alignment-retry metadata.
+        ``retry=False`` queues the cells without alignment-retry metadata.
         """
-        start = self._text_count
-        backing = self.buffers.reserve(self.TEXT_KEY, start + len(cells), (TILE, TILE))
-        self._text_backing = backing
-        row = start
+        start = len(self._text_tiles)
         for cell in cells:
-            glyph_tile_from_frame(
-                frame_pixels, cell, offset_x, offset_y, background, out=backing[row]
+            self._text_tiles.append(
+                glyph_tile_from_frame(frame_pixels, cell, offset_x, offset_y, background)
             )
             self.text_chars.append(cell.char)
             self.text_retries.append(
                 (frame_pixels, cell, offset_x, offset_y, background) if retry else None
             )
-            row += 1
-        self._text_count = row
-        return slice(start, row)
+        return slice(start, len(self._text_tiles))
 
-    @hot_path
-    def add_tiles(self, tiles, chars: list) -> slice:
-        """Queue pre-extracted glyph tiles (no alignment retry)."""
-        if len(tiles) != len(chars):
-            raise ValueError(f"tiles/chars misaligned: {len(tiles)} vs {len(chars)}")
-        start = self._text_count
-        backing = self.buffers.reserve(self.TEXT_KEY, start + len(tiles), (TILE, TILE))
-        self._text_backing = backing
-        row = start
-        for tile, char in zip(tiles, chars):
-            backing[row] = tile
-            self.text_chars.append(char)
-            self.text_retries.append(None)
-            row += 1
-        self._text_count = row
-        return slice(start, row)
-
-    @hot_path
     def add_region(self, observed: np.ndarray, expected: np.ndarray, background: float = 255.0) -> int:
         """Queue an observed/expected region pair; returns its group index.
 
-        Both rasters are tiled into 32x32 unit inputs written into the
-        plan's pooled image columns (float32, the canonical transport
-        dtype); the group verdict is the AND over its tile pairs.
+        Both rasters are split into 32x32 unit inputs; the group verdict
+        is the AND over its tile pairs.
         """
         observed = np.asarray(observed)
         expected = np.asarray(expected)
@@ -420,88 +281,76 @@ class ValidationPlan:
             raise ValueError(
                 f"region shapes must agree, got {observed.shape} vs {expected.shape}"
             )
-        count = region_tile_count(observed.shape)
-        start = self._image_count
-        obs_backing = self.buffers.reserve(self.IMAGE_OBS_KEY, start + count, (TILE, TILE))
-        exp_backing = self.buffers.reserve(self.IMAGE_EXP_KEY, start + count, (TILE, TILE))
-        self._image_obs_backing = obs_backing
-        self._image_exp_backing = exp_backing
-        region_tiles_into(observed, obs_backing[start : start + count], background)
-        region_tiles_into(expected, exp_backing[start : start + count], background)
-        self._image_count = start + count
-        self.image_groups.append((start, self._image_count))
+        start = len(self._image_observed)
+        self._image_observed.extend(t for t, _pos in split_region_into_tiles(observed, background))
+        self._image_expected.extend(t for t, _pos in split_region_into_tiles(expected, background))
+        self.image_groups.append((start, len(self._image_observed)))
         return len(self.image_groups) - 1
 
-    # -- buffer views ------------------------------------------------------
+    # -- stacked columns ---------------------------------------------------
 
     @property
     def text_tiles(self) -> np.ndarray:
-        """``(N, 32, 32)`` float32 view of the collected glyph tiles."""
-        if self._text_count == 0:
-            return _NO_TILES
-        return self._text_backing[: self._text_count]
+        """``(N, 32, 32)`` float32 stack of the collected glyph tiles."""
+        return _stack_tiles(self._text_tiles)
 
     @property
     def image_observed(self) -> np.ndarray:
-        if self._image_count == 0:
-            return _NO_TILES
-        return self._image_obs_backing[: self._image_count]
+        return _stack_tiles(self._image_observed)
 
     @property
     def image_expected(self) -> np.ndarray:
-        if self._image_count == 0:
-            return _NO_TILES
-        return self._image_exp_backing[: self._image_count]
-
-    @property
-    def image_pairs(self) -> _PairRows:
-        """Pair-indexable view of the image columns (compat protocol)."""
-        return _PairRows(self.image_observed, self.image_expected)
+        return _stack_tiles(self._image_expected)
 
     # -- stats -------------------------------------------------------------
 
     @property
     def text_unit_count(self) -> int:
-        return self._text_count
+        return len(self._text_tiles)
 
     @property
     def image_pair_count(self) -> int:
-        return self._image_count
+        return len(self._image_observed)
 
 
-class TextVerifier:
-    """Text model wrapper with caching, batching and invocation counting.
+def _stack_tiles(tiles) -> np.ndarray:
+    """32x32 tiles (a list or an ``(N, 32, 32)`` array) as one float32
+    ``(N, 32, 32)`` array; no copy when already that."""
+    return np.asarray(tiles, dtype=PLAN_DTYPE).reshape(-1, TILE, TILE)
+
+
+class _Verifier:
+    """What both verifiers share: the digest cache, the forward, counters.
 
     ``invocations`` counts unit inputs fed to the model (the unit of
-    Table VI); ``forwards`` counts actual model forward passes — in
-    batched mode one (chunked) forward covers many unit inputs, which is
-    where the paper's GPU-setup speedup comes from.
+    Table VI); ``forwards`` counts actual model forward passes, one per
+    chunk of at most ``chunk_size`` rows.  ``chunk_size=1`` forwards each
+    row alone (the paper's CPU setup); a large chunk covers a frame's
+    cache misses in one forward (its GPU setup).
     """
 
     def __init__(
         self,
         model: MatcherModel,
-        batched: bool = False,
         cache=None,
         chunk_size: int | None = PREDICT_CHUNK,
         tracer=None,
         faults=None,
     ) -> None:
         self.model = model
-        self.batched = batched
         self.cache = cache
         self.chunk_size = _check_chunk_size(chunk_size)
         #: Optional :class:`repro.obs.spans.SpanTracer`; ``None`` (the
         #: default) keeps every span site on the no-op fast path.
         self.tracer = tracer
-        self._predict = predict_fn(model, "frozen")
+        self._predict = predict_fn(model)
         if faults is not None:
             # Arm the ``infer.*`` seams: the wrapped forward may raise or
             # return NaN logits; the retry/sanitize helpers absorb both.
             self._predict = faults.wrap_predict(self._predict)
         self.invocations = 0
         self.forwards = 0
-        #: Inline forwards that raised and were retried once.
+        #: Forwards that raised and were retried once.
         self.forward_retries = 0
         #: Cache lookups/stores that raised and were treated as misses.
         self.cache_faults = 0
@@ -524,8 +373,8 @@ class TextVerifier:
         except Exception:
             self.cache_faults += 1
 
-    def _forward_batch(self, obs: np.ndarray, exp: np.ndarray) -> np.ndarray:
-        """One sanitized batched forward, retrying once if it raises."""
+    def _forward(self, obs: np.ndarray, exp: np.ndarray) -> np.ndarray:
+        """One sanitized chunked forward, retrying once if it raises."""
         try:
             raw = self._predict(obs, exp, chunk_size=self.chunk_size)
         except Exception:
@@ -533,78 +382,78 @@ class TextVerifier:
             raw = self._predict(obs, exp, chunk_size=self.chunk_size)
         return fail_closed_verdicts(raw)
 
-    def _forward_unit(self, obs1: np.ndarray, exp1: np.ndarray) -> np.ndarray:
-        """One sanitized single-unit forward, retrying once if it raises."""
-        try:
-            raw = self._predict(obs1, exp1)
-        except Exception:
-            self.forward_retries += 1
-            raw = self._predict(obs1, exp1)
-        return fail_closed_verdicts(raw)
+    def _verify(self, keys: list, rows, span: str) -> np.ndarray:
+        """Verdicts for N unit inputs, cache first, then one forward.
 
-    def _expected_onehot_rows(self, chars: list) -> np.ndarray:
-        """One-hot expected-class rows in the thread's pooled buffer."""
-        m = len(chars)
-        backing = thread_pool().reserve(("text-onehot",), m, (len(CHAR_TO_INDEX),))
-        rows = backing[:m]
-        rows.fill(0.0)
-        for row, char in enumerate(chars):
-            rows[row, CHAR_TO_INDEX[collapse_char(char)]] = 1.0
-        return rows
-
-    def verify_tiles(self, tiles, chars: list) -> np.ndarray:
-        """Match verdicts for (tile, expected char) pairs.
-
-        ``tiles`` is a ``(N, 32, 32)`` buffer view (plan path) or a list
-        of 32x32 tiles (compat path); either way pending rows are
-        gathered into pooled scratch and normalized in place, so no
-        per-unit array is allocated.
+        ``keys`` holds each unit's cache key (``None`` when uncached);
+        ``rows(indices)`` returns the scaled ``(observed, expected)``
+        model rows of those units.  Misses that share a key are forwarded
+        once; verdicts are sanitized fail-closed before caching.
         """
-        if len(tiles) != len(chars):
-            raise ValueError(f"tiles/chars misaligned: {len(tiles)} vs {len(chars)}")
-        n = len(tiles)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        results = np.zeros(n, dtype=bool)
+        results = np.zeros(len(keys), dtype=bool)
         pending_idx = []
-        keys = []
-        for i in range(n):
-            key = None
-            if self.cache is not None:
-                key = f"text:{region_digest(tiles[i])}:{collapse_char(chars[i])}"
+        pending_keys = []
+        for i, key in enumerate(keys):
+            if key is not None:
                 hit = self._cache_get(key)
                 if hit is not None:
                     results[i] = hit
                     continue
             pending_idx.append(i)
-            keys.append(key)
-        if pending_idx:
-            rep_positions, row_of = _dedupe_pending(keys)
-            m = len(rep_positions)
-            backing = thread_pool().reserve(("text-pending",), m, (TILE, TILE))
-            for row, j in enumerate(rep_positions):
-                backing[row] = tiles[pending_idx[j]]
-            obs = backing[:m].reshape(m, 1, TILE, TILE)
-            np.divide(obs, 255.0, out=obs)
-            exp = self._expected_onehot_rows([chars[pending_idx[j]] for j in rep_positions])
-            if self.batched:
-                self.invocations += m
-                with maybe_span(self.tracer, "forward.text"):
-                    verdicts = self._forward_batch(obs, exp)
-                self.forwards += forwards_for(m, self.chunk_size)
-            else:
-                verdicts = np.zeros(m, dtype=bool)
-                with maybe_span(self.tracer, "forward.text"):
-                    for j in range(m):
-                        verdicts[j] = bool(self._forward_unit(obs[j : j + 1], exp[j : j + 1])[0])
-                        self.invocations += 1
-                        self.forwards += 1
-            for row, j in enumerate(rep_positions):
-                if self.cache is not None and keys[j] is not None:
-                    self._cache_put(keys[j], bool(verdicts[row]))
-            for j, i in enumerate(pending_idx):
-                results[i] = verdicts[row_of[j]]
+            pending_keys.append(key)
+        if not pending_idx:
+            return results
+        rep_positions, row_of = _dedupe_pending(pending_keys)
+        obs, exp = rows([pending_idx[j] for j in rep_positions])
+        m = len(rep_positions)
+        self.invocations += m
+        with maybe_span(self.tracer, span):
+            verdicts = self._forward(obs, exp)
+        self.forwards += forwards_for(m, self.chunk_size)
+        for row, j in enumerate(rep_positions):
+            if pending_keys[j] is not None:
+                self._cache_put(pending_keys[j], bool(verdicts[row]))
+        for j, i in enumerate(pending_idx):
+            results[i] = verdicts[row_of[j]]
         return results
+
+
+def _scaled_rows(tiles: np.ndarray, indices: list) -> np.ndarray:
+    """``(m, 1, 32, 32)`` model rows of ``tiles[indices]``, scaled to
+    [0, 1] in place (float32 in, float32 division)."""
+    rows = tiles[indices].reshape(len(indices), 1, TILE, TILE)
+    np.divide(rows, 255.0, out=rows)
+    return rows
+
+
+class TextVerifier(_Verifier):
+    """Text model wrapper: glyph tile vs expected character."""
+
+    def verify_tiles(self, tiles, chars: list) -> np.ndarray:
+        """Match verdicts for (tile, expected char) pairs.
+
+        ``tiles`` is an ``(N, 32, 32)`` array or a list of 32x32 tiles;
+        either way the units are cast to float32 first, and the cache key
+        digests the cast tile.
+        """
+        if len(tiles) != len(chars):
+            raise ValueError(f"tiles/chars misaligned: {len(tiles)} vs {len(chars)}")
+        tiles = _stack_tiles(tiles)
+        if self.cache is None:
+            keys = [None] * len(chars)
+        else:
+            keys = [
+                f"text:{region_digest(tile)}:{collapse_char(char)}"
+                for tile, char in zip(tiles, chars)
+            ]
+
+        def rows(indices):
+            exp = np.zeros((len(indices), len(CHAR_TO_INDEX)), dtype=PLAN_DTYPE)
+            for row, i in enumerate(indices):
+                exp[row, CHAR_TO_INDEX[collapse_char(chars[i])]] = 1.0
+            return _scaled_rows(tiles, indices), exp
+
+        return self._verify(keys, rows, "forward.text")
 
     #: Alignment search offsets for cells that fail at the nominal crop.
     #: Viewport detection is integer-precise while rendering stacks place
@@ -629,7 +478,7 @@ class TextVerifier:
 
         Thin wrapper: builds a single-entry :class:`ValidationPlan` and
         executes it, so per-entry and frame-level callers share one code
-        path (nominal round + batched retry rings).
+        path (nominal round + retry rings).
         """
         plan = ValidationPlan()
         plan.add_cells(frame_pixels, cells, offset_x, offset_y, background)
@@ -638,31 +487,26 @@ class TextVerifier:
     def execute_plan(self, plan: ValidationPlan) -> np.ndarray:
         """Verdicts for every text unit of a plan.
 
-        One vectorized (chunked) nominal round over all queued tiles,
-        then — for units that fail and carry retry metadata — one batched
-        round per offset ring of :data:`RETRY_OFFSETS` across all failing
-        units of the frame at once.  Each ring re-extracts its tiles into
-        one pooled retry buffer (reused round over round, frame over
-        frame).
+        One nominal round over all queued tiles, then — for units that
+        fail and carry retry metadata — one round per offset ring of
+        :data:`RETRY_OFFSETS` across all failing units of the frame at
+        once, each re-extracting the failing cells at that shift.
         """
         verdicts = self.verify_tiles(plan.text_tiles, plan.text_chars)
         retries = plan.text_retries
         failing = [i for i, v in enumerate(verdicts) if not v and retries[i] is not None]
         rounds = 0
-        pool = thread_pool()
         for dx, dy in self.RETRY_OFFSETS:
             if not failing:
                 break
             rounds += 1
-            ring = pool.reserve(("text-retry",), len(failing), (TILE, TILE))
-            for row, i in enumerate(failing):
+            ring = []
+            for i in failing:
                 frame_pixels, cell, offset_x, offset_y, background = retries[i]
-                glyph_tile_from_frame(
-                    frame_pixels, cell, offset_x + dx, offset_y + dy, background, out=ring[row]
+                ring.append(
+                    glyph_tile_from_frame(frame_pixels, cell, offset_x + dx, offset_y + dy, background)
                 )
-            retry = self.verify_tiles(
-                ring[: len(failing)], [plan.text_chars[i] for i in failing]
-            )
+            retry = self.verify_tiles(ring, [plan.text_chars[i] for i in failing])
             still = []
             for j, i in enumerate(failing):
                 if retry[j]:
@@ -674,108 +518,31 @@ class TextVerifier:
         return verdicts
 
 
-class ImageVerifier:
-    """Graphics model wrapper: 32x32 observed/expected region matching.
+class ImageVerifier(_Verifier):
+    """Graphics model wrapper: 32x32 observed/expected region matching."""
 
-    ``invocations``/``forwards`` follow the same semantics as
-    :class:`TextVerifier`: unit inputs fed to the model vs actual model
-    forward passes.
-    """
+    def verify_pairs(self, observed, expected) -> np.ndarray:
+        """Match verdicts for 32x32 observed/expected tile pairs.
 
-    def __init__(
-        self,
-        model: MatcherModel,
-        batched: bool = False,
-        cache=None,
-        chunk_size: int | None = PREDICT_CHUNK,
-        tracer=None,
-        faults=None,
-    ) -> None:
-        self.model = model
-        self.batched = batched
-        self.cache = cache
-        self.chunk_size = _check_chunk_size(chunk_size)
-        #: Optional :class:`repro.obs.spans.SpanTracer` (see TextVerifier).
-        self.tracer = tracer
-        self._predict = predict_fn(model, "frozen")
-        if faults is not None:
-            # Same ``infer.*`` seam arming as TextVerifier.
-            self._predict = faults.wrap_predict(self._predict)
-        self.invocations = 0
-        self.forwards = 0
-        #: Inline forwards that raised and were retried once.
-        self.forward_retries = 0
-        #: Cache lookups/stores that raised and were treated as misses.
-        self.cache_faults = 0
-
-    def reset_counters(self) -> None:
-        self.invocations = 0
-        self.forwards = 0
-
-    # Same degrade-never-decide guards as TextVerifier: a raising cache is
-    # a miss, a raising forward gets one retry, and verdicts are always
-    # sanitized fail-closed before caching or scattering.
-    _cache_get = TextVerifier._cache_get
-    _cache_put = TextVerifier._cache_put
-    _forward_batch = TextVerifier._forward_batch
-    _forward_unit = TextVerifier._forward_unit
-
-    def verify_pairs(self, pairs) -> np.ndarray:
-        """Match verdicts for 32x32 ``(observed, expected)`` tile pairs.
-
-        ``pairs`` is anything pair-indexable: a plan's pooled
-        :class:`_PairRows` view or a compat list of tuples.  Pending rows
-        are gathered into pooled scratch and normalized in place.
+        ``observed`` and ``expected`` are ``(N, 32, 32)`` arrays or lists
+        of N tiles, cast to float32 before digesting and scaling.
         """
-        n = len(pairs)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        results = np.zeros(n, dtype=bool)
-        pending_idx = []
-        keys = []
-        for i in range(n):
-            observed, expected = pairs[i]
-            key = None
-            if self.cache is not None:
-                key = f"img:{region_digest(observed)}:{region_digest(expected)}"
-                hit = self._cache_get(key)
-                if hit is not None:
-                    results[i] = hit
-                    continue
-            pending_idx.append(i)
-            keys.append(key)
-        if pending_idx:
-            rep_positions, row_of = _dedupe_pending(keys)
-            m = len(rep_positions)
-            pool = thread_pool()
-            obs_backing = pool.reserve(("image-pending-obs",), m, (TILE, TILE))
-            exp_backing = pool.reserve(("image-pending-exp",), m, (TILE, TILE))
-            for row, j in enumerate(rep_positions):
-                observed, expected = pairs[pending_idx[j]]
-                obs_backing[row] = observed
-                exp_backing[row] = expected
-            obs = obs_backing[:m].reshape(m, 1, TILE, TILE)
-            exp = exp_backing[:m].reshape(m, 1, TILE, TILE)
-            np.divide(obs, 255.0, out=obs)
-            np.divide(exp, 255.0, out=exp)
-            if self.batched:
-                self.invocations += m
-                with maybe_span(self.tracer, "forward.image"):
-                    verdicts = self._forward_batch(obs, exp)
-                self.forwards += forwards_for(m, self.chunk_size)
-            else:
-                verdicts = np.zeros(m, dtype=bool)
-                with maybe_span(self.tracer, "forward.image"):
-                    for j in range(m):
-                        verdicts[j] = bool(self._forward_unit(obs[j : j + 1], exp[j : j + 1])[0])
-                        self.invocations += 1
-                        self.forwards += 1
-            for row, j in enumerate(rep_positions):
-                if self.cache is not None and keys[j] is not None:
-                    self._cache_put(keys[j], bool(verdicts[row]))
-            for j, i in enumerate(pending_idx):
-                results[i] = verdicts[row_of[j]]
-        return results
+        if len(observed) != len(expected):
+            raise ValueError(f"observed/expected misaligned: {len(observed)} vs {len(expected)}")
+        observed = _stack_tiles(observed)
+        expected = _stack_tiles(expected)
+        if self.cache is None:
+            keys = [None] * len(observed)
+        else:
+            keys = [
+                f"img:{region_digest(obs)}:{region_digest(exp)}"
+                for obs, exp in zip(observed, expected)
+            ]
+
+        def rows(indices):
+            return _scaled_rows(observed, indices), _scaled_rows(expected, indices)
+
+        return self._verify(keys, rows, "forward.image")
 
     def verify_region(self, observed: np.ndarray, expected: np.ndarray, background: float = 255.0) -> bool:
         """Match an observed region against its expected appearance.
@@ -795,11 +562,10 @@ class ImageVerifier:
     def execute_plan(self, plan: ValidationPlan) -> list:
         """Per-group verdicts for every image region of a plan.
 
-        All tile pairs of all regions go through one vectorized (chunked)
-        :meth:`verify_pairs` call; each group's verdict is the AND over
-        its tile range.
+        All tile pairs of all regions go through one :meth:`verify_pairs`
+        call; each group's verdict is the AND over its tile range.
         """
-        verdicts = self.verify_pairs(plan.image_pairs)
+        verdicts = self.verify_pairs(plan.image_observed, plan.image_expected)
         return [
             bool(np.all(verdicts[start:stop])) if stop > start else True
             for start, stop in plan.image_groups

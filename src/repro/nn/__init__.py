@@ -24,7 +24,6 @@ attack them with white-box adversarial examples:
 """
 
 from repro.nn.infer import (
-    INFERENCE_MODES,
     FrozenMatcher,
     FrozenNet,
     FrozenPairMatcher,
@@ -53,7 +52,6 @@ __all__ = [
     "ReLU",
     "Sequential",
     "MatcherModel",
-    "INFERENCE_MODES",
     "FrozenNet",
     "FrozenMatcher",
     "FrozenPairMatcher",

@@ -45,8 +45,7 @@ permuted to match: the GEMM sums the *same* products in a different
 order, so conv logits agree with the training path to float32 rounding
 (~1e-6 relative) rather than bit for bit — the same magnitude of drift a
 BLAS thread-count change produces.  Accept/reject *decisions* are
-identical on the parity corpus (asserted by
-``benchmarks/test_inference_engine.py`` and the property tests in
+identical on the parity corpus (asserted by the property tests in
 ``tests/test_nn_infer.py``); trained matchers' margins sit orders of
 magnitude above the drift.  Constant-folding an actual
 ``Dense``-``Dense`` chain likewise reassociates float arithmetic and is
@@ -77,9 +76,6 @@ from repro.nn.model import (
     _chunked_probability,
 )
 from repro.nn.tensorops import conv_output_size
-
-#: Valid :func:`predict_fn` modes.
-INFERENCE_MODES = ("frozen", "training")
 
 #: The one and only dtype of a frozen forward.
 INFER_DTYPE = np.float32
@@ -141,7 +137,7 @@ class _Arena:
         self.thread = threading.current_thread().name
         #: witness-san ownership tag — pinned to the creating thread by
         #: ``_ArenaSet.arena()`` (arenas are thread-local and never
-        #: migrate, unlike plan-owned transport pools).
+        #: migrate).
         self.owner_ident = None
 
     def workspace(self, shape: tuple) -> Workspace:
@@ -697,30 +693,17 @@ def arena_stats(model) -> dict | None:
     return None if twin is None else twin.workspace_stats()
 
 
-def predict_fn(model, inference: str):
-    """Resolve the ``predict(observed, expected, chunk_size)`` callable a
-    consumer (a verifier, a parity test) should feed unit inputs to.
+def predict_fn(model):
+    """The ``predict(observed, expected, chunk_size)`` callable a verifier
+    feeds unit inputs to: the memoized frozen twin's.
 
-    ``"frozen"`` routes through the memoized frozen twin; a model the
-    compiler does not understand (duck-typed test doubles, exotic
-    matchers) falls back to its own ``predict`` unchanged.
-    ``"training"`` forces the layer-by-layer path, explicitly bypassing
-    any attached twin on the real matcher classes.
+    A model the compiler does not understand (duck-typed test doubles,
+    exotic matchers) falls back to its own ``predict`` unchanged.
     """
-    if inference not in INFERENCE_MODES:
-        raise ValueError(f"inference must be one of {INFERENCE_MODES}, got {inference!r}")
-    if inference == "frozen":
-        try:
-            return frozen_twin(model).predict
-        except TypeError:
-            return model.predict
-    if isinstance(model, (MatcherModel, ChannelPairMatcher)):
-
-        def training_predict(observed, expected, chunk_size=PREDICT_CHUNK):
-            return model.predict(observed, expected, chunk_size, frozen=False)
-
-        return training_predict
-    return model.predict
+    try:
+        return frozen_twin(model).predict
+    except TypeError:
+        return model.predict
 
 
 def fail_closed_verdicts(raw) -> np.ndarray:

@@ -14,7 +14,7 @@ Three pieces (see each module's docstring):
 
 This ``__init__`` stays import-light on purpose: the verifiers import
 :func:`maybe_span` on the hot path, so pulling the telemetry hub (which
-reaches into :mod:`repro.nn.infer` and :mod:`repro.core.planbuf`) is
+reaches into :mod:`repro.nn.infer`) is
 deferred until someone actually asks for a snapshot.
 """
 
@@ -46,7 +46,7 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # Lazy: the telemetry hub imports planbuf/infer, which the span fast
+    # Lazy: the telemetry hub imports infer, which the span fast
     # path must not drag in at import time.
     if name in ("TelemetrySnapshot", "build_snapshot"):
         from repro.obs import telemetry

@@ -1,8 +1,7 @@
 """The telemetry hub: one namespaced snapshot of every stats island.
 
 Observability grew organically, one island per subsystem: arena stats
-live on the frozen twins (:mod:`repro.nn.infer`), transport-pool stats in
-:mod:`repro.core.planbuf`, cache accounting on the
+live on the frozen twins (:mod:`repro.nn.infer`), cache accounting on the
 :class:`~repro.core.caches.DigestCache`, session counters in the
 :class:`~repro.core.service.SessionRegistry`, span latencies in the span
 metrics.  :func:`build_snapshot` federates them into one
@@ -18,7 +17,6 @@ metrics.  :func:`build_snapshot` federates them into one
     spans     per-stage latency histograms incl. p50/p95/p99, or {}
     flight    flight-recorder ring stats, or None
     arenas    frozen-twin workspace arenas per model kind (+ totals)
-    planbuf   execute-side transport pools (+ totals)
 
 Exports: :meth:`~TelemetrySnapshot.to_json` (stable, sorted keys),
 :meth:`~TelemetrySnapshot.to_prometheus` (text exposition format:
@@ -35,7 +33,6 @@ from __future__ import annotations
 import json
 import re
 
-from repro.core.planbuf import pool_stats, pool_totals
 from repro.nn.infer import arena_stats
 from repro.obs.spans import span_snapshots
 
@@ -194,12 +191,6 @@ class TelemetrySnapshot:
                     **arenas["totals"]
                 )
             )
-        planbuf = s.get("planbuf")
-        if planbuf:
-            lines.append(
-                "  planbuf: pools={pools} hits={hits} allocations={allocations} "
-                "nbytes={nbytes}".format(**planbuf["totals"])
-            )
         return "\n".join(lines)
 
 
@@ -240,6 +231,5 @@ def build_snapshot(service) -> TelemetrySnapshot:
         "spans": span_snapshots(service.span_metrics),
         "flight": recorder.stats() if recorder is not None else None,
         "arenas": _arena_section(service.text_model, service.image_model),
-        "planbuf": {"totals": pool_totals(), "pools": pool_stats()},
     }
     return TelemetrySnapshot(sections)

@@ -2,8 +2,8 @@
 
 Declarative scenario generation (:class:`ScenarioSpec` -> page
 archetypes x user scripts) plus the deterministic soak driver
-(:func:`run_soak`) that proves both engine combinations — batched and
-sequential planning — compute bit-identical decisions, violations and
+(:func:`run_soak`) that proves both engine combinations — chunked and
+per-unit forwards — compute bit-identical decisions, violations and
 certified requests across every display condition a guest can produce.
 """
 

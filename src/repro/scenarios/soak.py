@@ -1,7 +1,8 @@
 """The deterministic scenario-diversity soak driver.
 
-The witness has two ways to compute every verdict: plan-level batching
-(the paper's GPU setup) and sequential units (its CPU setup).
+The witness computes every verdict on one forward path with two chunk
+sizes: chunked forwards of up to ``PREDICT_CHUNK`` unit inputs (the
+paper's GPU setup) and one unit per forward (its CPU setup).
 Correctness claims only hold if they *agree* — on every display
 condition a guest can produce.  ``run_soak`` is the machinery that
 proves it:

@@ -176,46 +176,14 @@ def _resize_tables(src_h: int, src_w: int, new_height: int, new_width: int) -> t
     return tables
 
 
-def resize_bilinear(image, new_height: int, new_width: int, out=None, scratch=None) -> np.ndarray:
-    """Bilinear resample; smoother than nearest, used when shrinking glyph tiles.
-
-    Zero-copy form: with ``out=`` the result is written in place (any
-    dtype — the cast happens on the final write), and with ``scratch=``
-    (a ``(4, new_height, new_width)`` float64 array, e.g. a pooled plan
-    buffer) no intermediary is allocated either.  The elementwise math is
-    identical to the allocating form — same taps, same weights, same
-    operation order in float64 — so results are bit-identical.
-    """
+def resize_bilinear(image, new_height: int, new_width: int) -> np.ndarray:
+    """Bilinear resample; smoother than nearest, used when shrinking glyph tiles."""
     img = as_array(image)
     if new_height <= 0 or new_width <= 0:
         raise ValueError(f"target size must be positive, got {new_height}x{new_width}")
     src_h, src_w = img.shape
     i00, i01, i10, i11, wx, wx1m, wy, wy1m = _resize_tables(src_h, src_w, new_height, new_width)
     flat = img.reshape(-1)
-    if scratch is None:
-        # witness-lint: allow[hot-alloc] -- compat path: caller gave no scratch buffer
-        scratch = np.empty((4, new_height, new_width), dtype=DTYPE)
-    elif scratch.shape != (4, new_height, new_width) or scratch.dtype != DTYPE:
-        raise ValueError(
-            f"scratch must be float64 (4, {new_height}, {new_width}), "
-            f"got {scratch.dtype} {scratch.shape}"
-        )
-    t00, t01, t10, t11 = scratch[0], scratch[1], scratch[2], scratch[3]
-    np.take(flat, i00, out=t00)
-    np.take(flat, i01, out=t01)
-    np.take(flat, i10, out=t10)
-    np.take(flat, i11, out=t11)
-    np.multiply(t00, wx1m, out=t00)
-    np.multiply(t01, wx, out=t01)
-    np.add(t00, t01, out=t00)  # top row pair
-    np.multiply(t10, wx1m, out=t10)
-    np.multiply(t11, wx, out=t11)
-    np.add(t10, t11, out=t10)  # bottom row pair
-    np.multiply(t00, wy1m, out=t00)
-    np.multiply(t10, wy, out=t10)
-    np.add(t00, t10, out=t00)
-    if out is None:
-        # witness-lint: allow[hot-alloc] -- compat path: no out= target, result must be fresh
-        return t00.copy()
-    out[...] = t00
-    return out
+    top = flat[i00] * wx1m + flat[i01] * wx
+    bottom = flat[i10] * wx1m + flat[i11] * wx
+    return top * wy1m + bottom * wy

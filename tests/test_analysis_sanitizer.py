@@ -1,6 +1,6 @@
 """witness-san tests: wrapper tracking, ownership tagging, the cross-check.
 
-Unit tests drive the sanitizer against synthetic lock/pool shapes (the
+Unit tests drive the sanitizer against synthetic lock/arena shapes (the
 test module is added to the tracked prefixes so locks created *here*
 are wrapped); the integration tests drive the real span metrics and a
 small soak slice, asserting the recorded orderings stay inside the
@@ -20,7 +20,7 @@ import threading
 import pytest
 
 from repro.analysis import sanitizer
-from repro.core import planbuf
+from repro.nn import infer
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("REPRO_WITNESS_SAN") == "1",
@@ -118,56 +118,46 @@ class TestLockTracking:
 
 class TestPoolOwnership:
     def test_thread_pool_is_pinned_to_its_thread(self):
-        with sanitizer.sanitized() as state:
+        # Each thread's arena pool comes from _ArenaSet.arena(), which pins
+        # it to the creating thread before any checkout.
+        with sanitizer.sanitized():
+            arenas = infer._ArenaSet(4)
             box = {}
-            t = threading.Thread(
-                target=lambda: box.setdefault("pool", planbuf.thread_pool())
-            )
+
+            def create():
+                box["a"] = arenas.arena()
+                box["ident"] = threading.get_ident()
+
+            t = threading.Thread(target=create)
             t.start()
             t.join()
-            box["pool"].reserve("k", 4, (2,))  # foreign thread: violation
-        assert any("cross-thread planbuf" in v for v in state.violations)
-
-    def test_plan_pool_migrates_at_frame_boundaries(self):
-        with sanitizer.sanitized() as state:
-            pool = planbuf.PlanBuffers()
-            pool.reserve("k", 2, (2,))  # main thread claims the frame
-            pool.release_ownership()  # frame boundary (ValidationPlan.reset)
-            t = threading.Thread(target=lambda: pool.reserve("k", 2, (2,)))
-            t.start()
-            t.join()
-        assert state.violations == []
-
-    def test_plan_pool_mid_frame_cross_thread_flagged(self):
-        with sanitizer.sanitized() as state:
-            pool = planbuf.PlanBuffers()
-            pool.reserve("k", 2, (2,))  # claimed, no boundary before...
-            t = threading.Thread(target=lambda: pool.reserve("k", 2, (2,)))
-            t.start()
-            t.join()  # ...this foreign reservation
-        assert any("cross-thread planbuf" in v for v in state.violations)
+            assert box["a"].owner_ident == box["ident"]
+            assert box["ident"] != threading.get_ident()
 
     def test_workspace_arena_is_pinned(self):
-        from repro.nn import infer
-
         with sanitizer.sanitized() as state:
             arenas = infer._ArenaSet(4)
             box = {}
             t = threading.Thread(target=lambda: box.setdefault("a", arenas.arena()))
             t.start()
             t.join()
-            box["a"].workspace((1, 1, 8, 8))
-        assert any("workspace-arena" in v for v in state.violations)
+            box["a"].workspace((1, 1, 8, 8))  # foreign thread: violation
+        assert any("cross-thread workspace-arena" in v for v in state.violations)
+
+    def test_unpinned_arena_claimed_by_first_checkout(self):
+        with sanitizer.sanitized() as state:
+            arena = infer._Arena(4)  # built outside _ArenaSet: no pin yet
+            arena.workspace((1, 1, 8, 8))  # main thread claims it...
+            t = threading.Thread(target=lambda: arena.workspace((1, 1, 8, 8)))
+            t.start()
+            t.join()  # ...so this foreign checkout is flagged
+        assert arena.owner_ident == threading.get_ident()
+        assert any("cross-thread workspace-arena" in v for v in state.violations)
 
     def test_disarmed_seams_are_none(self):
-        from repro.nn import infer
-
-        assert planbuf._SAN is None
         assert infer._SAN is None
         with sanitizer.sanitized() as state:
-            assert planbuf._SAN is state
             assert infer._SAN is state
-        assert planbuf._SAN is None
         assert infer._SAN is None
 
 
@@ -206,7 +196,8 @@ class TestSoakParity:
         ``batched-inline-frozen`` combo on two threads (concurrent
         sessions sharing one service), once disarmed and once armed;
         session fingerprints must match exactly and the armed run must
-        stay violation-free."""
+        stay violation-free while it observes lock acquisitions and
+        workspace-arena checkouts."""
         fingerprints = {}
         for armed in (False, True):
             if armed:
@@ -214,7 +205,8 @@ class TestSoakParity:
                     fingerprints[armed] = _drive_slice(text_model, image_model)
                 problems = state.check()
                 assert problems == [], problems
-                assert state.summary()["acquires"] > 0
+                summary = state.summary()
+                assert summary["acquires"] > 0 and summary["pool_checks"] > 0, summary
             else:
                 fingerprints[armed] = _drive_slice(text_model, image_model)
         assert fingerprints[True] == fingerprints[False]

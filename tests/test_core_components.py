@@ -38,7 +38,7 @@ class TestGlyphTileExtraction:
         cells = [
             CharCell(10 + i * advance, 12, advance, size, ch) for i, ch in enumerate(text)
         ]
-        verifier = TextVerifier(text_model, batched=True)
+        verifier = TextVerifier(text_model)
         verdicts = verifier.verify_cells(canvas.pixels, cells)
         assert verdicts.mean() >= 6 / 7  # at most one model miss
 
@@ -50,7 +50,7 @@ class TestGlyphTileExtraction:
         canvas.paste(line, 0, 4)
         advance = char_advance(size)
         cells = [CharCell(i * advance, 4, advance, size, "Z") for i in range(4)]
-        verifier = TextVerifier(text_model, batched=True)
+        verifier = TextVerifier(text_model)
         verdicts = verifier.verify_cells(canvas.pixels, cells)
         assert verdicts.mean() <= 0.25
 
@@ -60,15 +60,15 @@ class TestGlyphTileExtraction:
         canvas.paste(line, 20, 80)
         frame = canvas.crop(0, 60, 60, 60)  # scrolled view
         cell = CharCell(20, 80, char_advance(16), 16, "X")
-        verifier = TextVerifier(text_model, batched=True)
+        verifier = TextVerifier(text_model)
         assert verifier.verify_cells(frame.pixels, [cell], offset_y=60)[0]
 
     def test_batched_and_sequential_agree(self, text_model):
         rng = np.random.default_rng(0)
         tiles = [rng.uniform(0, 255, (32, 32)) for _ in range(6)]
         chars = list("ABCdef")
-        seq = TextVerifier(text_model, batched=False)
-        bat = TextVerifier(text_model, batched=True)
+        seq = TextVerifier(text_model, chunk_size=1)
+        bat = TextVerifier(text_model)
         assert np.array_equal(seq.verify_tiles(tiles, chars), bat.verify_tiles(tiles, chars))
         assert seq.invocations == bat.invocations == 6
 
@@ -76,7 +76,7 @@ class TestGlyphTileExtraction:
         from repro.raster.text import render_char_tile
 
         cache = DigestCache()
-        verifier = TextVerifier(text_model, batched=True, cache=cache)
+        verifier = TextVerifier(text_model, cache=cache)
         tile = render_char_tile("Q", 32).pixels
         verifier.verify_tiles([tile], ["Q"])
         assert verifier.invocations == 1
@@ -107,7 +107,7 @@ class TestRegionTiling:
         from repro.raster.icons import render_icon
 
         icon = render_icon("gear", 32).pixels
-        verifier = ImageVerifier(image_model, batched=True)
+        verifier = ImageVerifier(image_model)
         assert verifier.verify_region(icon, icon)
 
     def test_image_verifier_cross_stack_matches(self, image_model):
@@ -115,14 +115,14 @@ class TestRegionTiling:
 
         ref = render_icon("lock", 32).pixels
         other = render_icon("lock", 32, stack=stack_registry()[1]).pixels
-        assert ImageVerifier(image_model, batched=True).verify_region(other, ref)
+        assert ImageVerifier(image_model).verify_region(other, ref)
 
     def test_image_verifier_different_content_rejected(self, image_model):
         from repro.raster.icons import render_icon
 
         a = render_icon("lock", 32).pixels
         b = render_icon("cart", 32).pixels
-        assert not ImageVerifier(image_model, batched=True).verify_region(b, a)
+        assert not ImageVerifier(image_model).verify_region(b, a)
 
     def test_shape_mismatch_is_failure(self, image_model):
         verifier = ImageVerifier(image_model)

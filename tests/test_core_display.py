@@ -55,8 +55,8 @@ def bench(text_model, image_model):
     cache = DigestCache()
     validator = DisplayValidator(
         vspec,
-        TextVerifier(text_model, batched=True, cache=cache),
-        ImageVerifier(image_model, batched=True, cache=cache),
+        TextVerifier(text_model, cache=cache),
+        ImageVerifier(image_model, cache=cache),
     )
     return machine, browser, vspec, validator
 
@@ -78,8 +78,8 @@ class TestBenignFrames:
             browser.paint()
             validator = DisplayValidator(
                 vspec,
-                TextVerifier(text_model, batched=True),
-                ImageVerifier(image_model, batched=True),
+                TextVerifier(text_model),
+                ImageVerifier(image_model),
             )
             result = validator.validate(machine.sample_framebuffer().pixels)
             assert result.ok, (stack.name, [f.reason for f in result.failures][:3])
@@ -112,7 +112,7 @@ class TestBenignFrames:
         browser.scroll_y = 150
         browser.paint()  # clamps to max_scroll
         validator = DisplayValidator(
-            vspec, TextVerifier(text_model, batched=True), ImageVerifier(image_model, batched=True)
+            vspec, TextVerifier(text_model), ImageVerifier(image_model)
         )
         result = validator.validate(machine.sample_framebuffer().pixels)
         assert result.ok, [f.reason for f in result.failures][:3]
@@ -140,7 +140,7 @@ class TestBenignFrames:
         browser.scroll_y = 120
         browser.paint()
         validator = DisplayValidator(
-            vspec, TextVerifier(text_model, batched=True), ImageVerifier(image_model, batched=True)
+            vspec, TextVerifier(text_model), ImageVerifier(image_model)
         )
         offset, score = validator.locate_viewport(
             machine.sample_framebuffer().pixels, tracked
@@ -160,7 +160,7 @@ class TestBenignFrames:
 
         vspec = build_vspec(copy.deepcopy(page_with("draft")), "prefilled")
         validator = DisplayValidator(
-            vspec, TextVerifier(text_model, batched=True), ImageVerifier(image_model, batched=True)
+            vspec, TextVerifier(text_model), ImageVerifier(image_model)
         )
         composed = validator._expected_for({"note": "final"}).pixels
         baked = build_vspec(copy.deepcopy(page_with("final")), "prefilled").expected
@@ -189,8 +189,8 @@ class TestBenignFrames:
         def make_validator():
             return DisplayValidator(
                 vspec,
-                TextVerifier(text_model, batched=True),
-                ImageVerifier(image_model, batched=True),
+                TextVerifier(text_model),
+                ImageVerifier(image_model),
             )
 
         evolving = make_validator()
@@ -222,7 +222,7 @@ class TestBenignFrames:
 
         def make_validator():
             return DisplayValidator(
-                vspec, TextVerifier(text_model, batched=True), ImageVerifier(image_model, batched=True)
+                vspec, TextVerifier(text_model), ImageVerifier(image_model)
             )
 
         evolving = make_validator()
@@ -279,7 +279,7 @@ class TestTrackingHint:
         browser.scroll_y = 90
         browser.paint()
         validator = DisplayValidator(
-            vspec, TextVerifier(text_model, batched=True), ImageVerifier(image_model, batched=True)
+            vspec, TextVerifier(text_model), ImageVerifier(image_model)
         )
         searches = []
         real = display_module.best_vertical_offset

@@ -185,7 +185,7 @@ class TestSamplerDefer:
 class TestVerifierHardening:
     def test_nan_logits_never_certify(self):
         faults = FaultInjector(nan_logits_plan())
-        verifier = TextVerifier(FakeModel(), batched=True, faults=faults)
+        verifier = TextVerifier(FakeModel(), faults=faults)
         verdicts = verifier.verify_tiles(
             [np.full((32, 32), 255.0), np.full((32, 32), 255.0)], ["a", "b"]
         )
@@ -194,8 +194,8 @@ class TestVerifierHardening:
 
     def test_forward_raise_recovered_by_retry(self):
         faults = FaultInjector(forward_raise_plan())
-        clean = TextVerifier(FakeModel(), batched=True)
-        faulted = TextVerifier(FakeModel(), batched=True, faults=faults)
+        clean = TextVerifier(FakeModel())
+        faulted = TextVerifier(FakeModel(), faults=faults)
         tiles = [np.full((32, 32), 255.0), np.zeros((32, 32))]
         assert list(faulted.verify_tiles(tiles, ["a", "b"])) == list(
             clean.verify_tiles(tiles, ["a", "b"])
@@ -209,8 +209,8 @@ class TestVerifierHardening:
         )
         cache = DigestCache(100)
         cache.fault_hook = faults.cache_hook
-        clean = TextVerifier(FakeModel(), batched=True, cache=DigestCache(100))
-        faulted = TextVerifier(FakeModel(), batched=True, cache=cache)
+        clean = TextVerifier(FakeModel(), cache=DigestCache(100))
+        faulted = TextVerifier(FakeModel(), cache=cache)
         tiles = [np.full((32, 32), 255.0), np.zeros((32, 32))]
         for _ in range(2):  # second round would be cache hits if healthy
             assert list(faulted.verify_tiles(tiles, ["a", "b"])) == list(

@@ -3,8 +3,9 @@
 Covers the PR-4 tentpole guarantees:
 
 * decision parity between the frozen and training forward paths, both at
-  the model level (randomized honest/tampered matcher inputs through
-  trained models) and at the verifier level (the frozen verifiers'
+  the model level (randomized honest/tampered matcher inputs and the
+  full honest+tampered training corpora through trained models) and at
+  the verifier level (the frozen verifiers'
   verdicts on frame-style unit inputs vs the training forward
   ``model.predict(..., frozen=False)`` on the same rows);
 * workspace arenas: shape-keyed reuse (repeated shapes allocate
@@ -173,7 +174,7 @@ class TestDecisionParityProperty:
                     noise = rng.normal(0, 90, tiles[j].shape)
                     tiles[j] = np.clip(tiles[j] + noise, 0, 255)
             chars = [CHARSET[int(i) % len(CHARSET)] for i in pick]
-            frozen_v = TextVerifier(text_model, batched=True)
+            frozen_v = TextVerifier(text_model)
             assert np.array_equal(
                 frozen_v.verify_tiles(tiles, chars),
                 _training_text_verdicts(text_model, tiles, chars),
@@ -186,10 +187,30 @@ class TestDecisionParityProperty:
                 (np.asarray(obs_i[i, 0] * 255.0), np.asarray(exp_i[i, 0] * 255.0))
                 for i in pick
             ]
-            frozen_v = ImageVerifier(image_model, batched=True)
+            frozen_v = ImageVerifier(image_model)
             assert np.array_equal(
-                frozen_v.verify_pairs(pairs), _training_image_verdicts(image_model, pairs)
+                frozen_v.verify_pairs([o for o, _e in pairs], [e for _o, e in pairs]),
+                _training_image_verdicts(image_model, pairs),
             ), f"image verdicts diverged on trial {trial}"
+
+    def test_parity_corpus_decisions_identical(self, text_model, image_model):
+        """The full honest+tampered training corpora (balanced positive
+        and negative pairs): the frozen twin decides every row exactly as
+        the training forward does."""
+        from repro.nn.data import image_dataset, text_dataset
+        from repro.raster.fonts import font_registry
+        from repro.raster.stacks import stack_registry
+
+        stacks = stack_registry()[:2]
+        corpora = (
+            (text_model, text_dataset(font_registry()[:2], stacks=stacks, seed=3)),
+            (image_model, image_dataset(stacks=stacks, seed=5)),
+        )
+        for model, (obs, exp, _labels) in corpora:
+            obs, exp = obs.astype(np.float32), exp.astype(np.float32)
+            assert np.array_equal(
+                frozen_twin(model).predict(obs, exp), model.predict(obs, exp, frozen=False)
+            )
 
     def test_sequential_mode_verdicts_identical(self, text_model):
         from repro.core.verifiers import TextVerifier
@@ -199,7 +220,7 @@ class TestDecisionParityProperty:
         obs, _exp, _ = text_dataset(font_registry()[:1], seed=23)
         tiles = [np.asarray(obs[i, 0] * 255.0) for i in range(12)]
         chars = [CHARSET[i % len(CHARSET)] for i in range(12)]
-        frozen_v = TextVerifier(text_model, batched=False)
+        frozen_v = TextVerifier(text_model, chunk_size=1)
         assert np.array_equal(
             frozen_v.verify_tiles(tiles, chars),
             _training_text_verdicts(text_model, tiles, chars),
@@ -221,11 +242,13 @@ class TestDecisionParityProperty:
         vspec = build_vspec(copy.deepcopy(page), "jf-2")
         machine = Machine(640, min(600, vspec.height))
         Browser(machine, copy.deepcopy(page)).paint()
-        text_v = TextVerifier(text_model, batched=True)
-        image_v = ImageVerifier(image_model, batched=True)
-        validator = DisplayValidator(vspec, text_v, image_v)
-        validator.validate(machine.sample_framebuffer().pixels)
-        plan = validator._plan
+        text_v = TextVerifier(text_model)
+        image_v = ImageVerifier(image_model)
+        plans = []
+        execute = image_v.execute_plan
+        image_v.execute_plan = lambda plan: plans.append(plan) or execute(plan)
+        DisplayValidator(vspec, text_v, image_v).validate(machine.sample_framebuffer().pixels)
+        (plan,) = plans
         assert plan.text_unit_count > 0 and plan.image_pair_count > 0
         tiles = list(plan.text_tiles)
         assert np.array_equal(
@@ -234,7 +257,8 @@ class TestDecisionParityProperty:
         )
         pairs = list(zip(plan.image_observed, plan.image_expected))
         assert np.array_equal(
-            image_v.verify_pairs(pairs), _training_image_verdicts(image_model, pairs)
+            image_v.verify_pairs(plan.image_observed, plan.image_expected),
+            _training_image_verdicts(image_model, pairs),
         )
 
 
@@ -397,14 +421,20 @@ class TestFreezeLifecycle:
         assert isinstance(text_model.__dict__["_frozen_twin"], FrozenMatcher)
         assert isinstance(image_model.__dict__["_frozen_twin"], FrozenPairMatcher)
 
-    def test_predict_fn_modes(self, text_model):
-        with pytest.raises(ValueError, match="inference must be one of"):
-            predict_fn(text_model, "bogus")
+    def test_predict_fn_is_the_frozen_twin(self, text_model):
+        assert predict_fn(text_model) == frozen_twin(text_model).predict
         obs, exp = _rand_text_inputs(np.random.default_rng(19), 4)
         assert np.array_equal(
-            predict_fn(text_model, "frozen")(obs, exp),
-            predict_fn(text_model, "training")(obs, exp),
+            predict_fn(text_model)(obs, exp),
+            text_model.predict(obs, exp, frozen=False),
         )
+
+        class Duck:
+            def predict(self, observed, expected, chunk_size=None):
+                return np.ones(len(observed), dtype=bool)
+
+        duck = Duck()
+        assert predict_fn(duck) == duck.predict  # not compilable: its own predict
 
     def test_serialize_refuses_frozen_and_invalidates_on_load(self, tmp_path):
         model = build_text_matcher(seed=7)

@@ -347,7 +347,7 @@ def test_telemetry_snapshot_sections_and_json(text_model, image_model):
     _, service = _run(SMALL_SPEC, text_model, image_model, tracing=True)
     snap = service.telemetry()
     d = snap.as_dict()
-    for section in ("service", "sessions", "cache", "spans", "flight", "arenas", "planbuf"):
+    for section in ("service", "sessions", "cache", "spans", "flight", "arenas"):
         assert section in d, f"missing telemetry section {section}"
     assert d["service"]["tracing"] is True
     assert d["flight"]["recorded"] > 0

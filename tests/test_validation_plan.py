@@ -1,12 +1,14 @@
-"""Frame-level validation planner: batched/sequential parity + plan stats.
+"""Frame-level validation planner: chunk-size parity + plan stats.
 
-The planner's contract is that plan-level batching is a pure execution
-strategy: for any frame — tampered or benign, aligned or retried — the
-batched and sequential executors must produce identical verdicts and
-failures, differing only in how many model forwards they spend.
+The planner's contract is that the forward's chunk size is a pure
+execution strategy: for any frame — tampered or benign, aligned or
+retried — chunk 512 (the batched GPU setup) and chunk 1 (the per-unit
+CPU setup) must produce identical verdicts, failures and invocations,
+differing only in how many model forwards they spend.
 """
 
 import copy
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,8 +17,15 @@ from hypothesis import strategies as st
 
 from repro.core.caches import DigestCache
 from repro.core.display import DisplayValidator
-from repro.core.verifiers import ImageVerifier, TextVerifier, ValidationPlan, forwards_for
+from repro.core.verifiers import (
+    PLAN_DTYPE,
+    ImageVerifier,
+    TextVerifier,
+    ValidationPlan,
+    forwards_for,
+)
 from repro.datasets.forms import jotform_page
+from repro.nn.model import PREDICT_CHUNK
 from repro.server.generate import build_vspec
 from repro.raster.stacks import stack_registry
 from repro.web.browser import Browser
@@ -32,12 +41,12 @@ def _render(seed: int):
     return vspec, machine, browser
 
 
-def _validator(vspec, text_model, image_model, batched: bool) -> DisplayValidator:
+def _validator(vspec, text_model, image_model, chunk_size: int = PREDICT_CHUNK) -> DisplayValidator:
     cache = DigestCache()
     return DisplayValidator(
         vspec,
-        TextVerifier(text_model, batched=batched, cache=cache.scoped("text")),
-        ImageVerifier(image_model, batched=batched, cache=cache.scoped("image")),
+        TextVerifier(text_model, cache=cache.scoped("text"), chunk_size=chunk_size),
+        ImageVerifier(image_model, cache=cache.scoped("image"), chunk_size=chunk_size),
     )
 
 
@@ -67,7 +76,7 @@ def _tampered_frame(machine, vspec, kind: str, rng) -> np.ndarray:
 
 
 class TestPlannerParity:
-    """Property: planner-batched == sequential on randomized frames."""
+    """Property: chunk 512 == chunk 1 on randomized frames."""
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -78,8 +87,8 @@ class TestPlannerParity:
         vspec, machine, _browser = _render(seed)
         frame = _tampered_frame(machine, vspec, tamper, np.random.default_rng(seed))
 
-        sequential = _validator(vspec, text_model, image_model, batched=False).validate(frame)
-        batched = _validator(vspec, text_model, image_model, batched=True).validate(frame)
+        sequential = _validator(vspec, text_model, image_model, chunk_size=1).validate(frame)
+        batched = _validator(vspec, text_model, image_model).validate(frame)
 
         assert batched.ok == sequential.ok
         assert batched.offset_y == sequential.offset_y
@@ -92,8 +101,55 @@ class TestPlannerParity:
         assert batched.text_invocations == sequential.text_invocations
         assert batched.image_invocations == sequential.image_invocations
         # ...but O(1) forwards per model kind instead of one per unit.
+        assert sequential.text_forwards == sequential.text_invocations
+        assert sequential.image_forwards == sequential.image_invocations
         if sequential.text_invocations > 1:
             assert batched.text_forwards < sequential.text_forwards
+
+
+class TestChunkParity:
+    @settings(max_examples=3, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kind=st.sampled_from(["none", "fill", "text", "shift"]),
+    )
+    def test_chunk_512_chunk_1_and_threaded_agree(
+        self, text_model, image_model, seed, kind
+    ):
+        """Chunk 512, chunk 1, and two concurrent chunk-512 validators on
+        their own threads agree verdict for verdict and invocation for
+        invocation; chunk 1 spends one forward per invocation, chunk 512
+        at most one per round."""
+        rng = np.random.default_rng(seed)
+        vspec, machine, _browser = _render(seed % 23)
+        frame = _tampered_frame(machine, vspec, kind, rng)
+
+        batched = _validator(vspec, text_model, image_model, chunk_size=512).validate(frame)
+        sequential = _validator(vspec, text_model, image_model, chunk_size=1).validate(frame)
+        with ThreadPoolExecutor(max_workers=2) as tpool:
+            threaded = list(
+                tpool.map(
+                    lambda _i: _validator(vspec, text_model, image_model).validate(frame),
+                    range(2),
+                )
+            )
+
+        for other in [sequential, *threaded]:
+            assert other.ok == batched.ok
+            assert other.failures == batched.failures
+            assert other.offset_y == batched.offset_y
+            assert other.plan_text_units == batched.plan_text_units
+            assert other.plan_image_pairs == batched.plan_image_pairs
+            assert other.text_retry_rounds == batched.text_retry_rounds
+            assert other.text_invocations == batched.text_invocations
+            assert other.image_invocations == batched.image_invocations
+        for other in threaded:
+            assert other.text_forwards == batched.text_forwards
+            assert other.image_forwards == batched.image_forwards
+        assert sequential.text_forwards == sequential.text_invocations
+        assert sequential.image_forwards == sequential.image_invocations
+        assert batched.text_forwards <= 1 + batched.text_retry_rounds
+        assert batched.image_forwards <= 1
 
 
 class TestRetryPath:
@@ -102,7 +158,7 @@ class TestRetryPath:
         frame = machine.sample_framebuffer().pixels
         shifted = np.vstack([np.full((1, frame.shape[1]), vspec.background), frame[:-1]])
 
-        batched = _validator(vspec, text_model, image_model, batched=True)
+        batched = _validator(vspec, text_model, image_model)
         result = batched.validate(shifted)
         # The nominal crop misses every glyph; the (0,-1) retry ring crops
         # one row lower and recovers them — as one batched round per ring,
@@ -116,7 +172,7 @@ class TestRetryPath:
         vspec, machine, _browser = _render(3)
         frame = machine.sample_framebuffer().pixels
         shifted = np.vstack([np.full((1, frame.shape[1]), vspec.background), frame[:-1]])
-        validator = _validator(vspec, text_model, image_model, batched=True)
+        validator = _validator(vspec, text_model, image_model)
         result = validator.validate(shifted)
         # One nominal round + one forward per executed retry ring (chunked
         # plans may add a few more), never one forward per unit input.
@@ -128,7 +184,7 @@ class TestPlanUnits:
     def test_plan_collects_all_unit_inputs(self, text_model, image_model):
         vspec, machine, _browser = _render(7)
         frame = machine.sample_framebuffer().pixels
-        validator = _validator(vspec, text_model, image_model, batched=True)
+        validator = _validator(vspec, text_model, image_model)
         result = validator.validate(frame)
         assert result.plan_text_units >= result.text_invocations
         assert result.plan_image_pairs >= result.image_invocations
@@ -142,15 +198,15 @@ class TestPlanUnits:
         plan = ValidationPlan()
         matching = plan.add_region(lock, lock)
         mismatching = plan.add_region(cart, lock)
-        verifier = ImageVerifier(image_model, batched=True)
+        verifier = ImageVerifier(image_model)
         verdicts = verifier.execute_plan(plan)
         assert verdicts[matching] is True
         assert verdicts[mismatching] is False
 
     def test_empty_plan_executes_to_nothing(self, text_model, image_model):
         plan = ValidationPlan()
-        assert len(TextVerifier(text_model, batched=True).execute_plan(plan)) == 0
-        assert ImageVerifier(image_model, batched=True).execute_plan(plan) == []
+        assert len(TextVerifier(text_model).execute_plan(plan)) == 0
+        assert ImageVerifier(image_model).execute_plan(plan) == []
 
     def test_duplicate_units_cost_one_invocation_with_cache(self, text_model):
         # Repeated glyphs across a frame's plan share one cache key; the
@@ -158,20 +214,63 @@ class TestPlanUnits:
         from repro.raster.text import render_char_tile
 
         cache = DigestCache()
-        verifier = TextVerifier(text_model, batched=True, cache=cache.scoped("text"))
+        verifier = TextVerifier(text_model, cache=cache.scoped("text"))
         tile = render_char_tile("Q", 32).pixels
         verdicts = verifier.verify_tiles([tile, tile, tile], ["Q", "Q", "Q"])
         assert verifier.invocations == 1
         assert len({bool(v) for v in verdicts}) == 1
 
-    def test_invalid_chunk_size_rejected(self, text_model):
-        from repro.core.service import WitnessConfig
-
+    def test_invalid_chunk_size_rejected(self, text_model, image_model):
         with pytest.raises(ValueError, match="chunk_size"):
             TextVerifier(text_model, chunk_size=0)
-        with pytest.raises(ValueError, match="predict_chunk"):
-            WitnessConfig(predict_chunk=0)
-        WitnessConfig(predict_chunk=None)  # unchunked is allowed
+        with pytest.raises(ValueError, match="chunk_size"):
+            ImageVerifier(image_model, chunk_size=0)
+        TextVerifier(text_model, chunk_size=None)  # unchunked is allowed
+
+    def test_plan_columns_are_float32_and_shapes_checked(self):
+        plan = ValidationPlan()
+        region = np.full((40, 40), 128.0)
+        plan.add_region(region, region)
+        assert plan.image_observed.dtype == PLAN_DTYPE == np.float32
+        assert plan.image_expected.dtype == PLAN_DTYPE
+        assert plan.image_observed.shape == (4, 32, 32)
+        assert plan.text_tiles.shape == (0, 32, 32)
+        with pytest.raises(ValueError):
+            plan.add_region(region, np.full((40, 41), 128.0))
+
+    def test_units_reach_the_model_as_float32_scaled_in_float32(self):
+        """Tiles are cast to float32 before the ``/ 255``, so the model
+        sees exactly float32(tile) / float32(255) for every row."""
+        from repro.raster.text import char_advance, render_text_line
+        from repro.vision.image import Image
+        from repro.vspec.spec import CharCell
+
+        seen = []
+
+        class Recorder:
+            def predict(self, observed, expected, chunk_size=None):
+                seen.append((observed.copy(), expected.copy()))
+                return np.ones(observed.shape[0], dtype=bool)
+
+        line = render_text_line("Ab", 14)  # 14px glyphs: resampled to 32x32
+        canvas = Image.blank(80, 40, 255.0)
+        canvas.paste(line, 5, 9)
+        advance = char_advance(14)
+        cells = [CharCell(5, 9, advance, 14, "A"), CharCell(5 + advance, 9, advance, 14, "b")]
+        plan = ValidationPlan()
+        plan.add_cells(canvas.pixels, cells)
+        region = np.linspace(0.0, 255.0, 40 * 40).reshape(40, 40)
+        plan.add_region(region, region[::-1])
+        assert TextVerifier(Recorder()).execute_plan(plan).all()
+        assert ImageVerifier(Recorder()).execute_plan(plan) == [True]
+
+        (text_obs, text_exp), (image_obs, image_exp) = seen
+        assert text_obs.dtype == text_exp.dtype == np.float32
+        assert image_obs.dtype == image_exp.dtype == np.float32
+        assert np.array_equal(text_obs[:, 0], plan.text_tiles / np.float32(255.0))
+        assert np.array_equal(image_obs[:, 0], plan.image_observed / np.float32(255.0))
+        assert np.array_equal(image_exp[:, 0], plan.image_expected / np.float32(255.0))
+        assert (plan.text_tiles / np.float32(255.0)).dtype == np.float32
 
     def test_wrapper_methods_share_plan_path(self, text_model):
         # verify_cells is a thin wrapper over a single-entry plan: same
@@ -188,7 +287,7 @@ class TestPlanUnits:
             CharCell(10, 20, advance, 16, "A"),
             CharCell(10 + advance, 20, advance, 16, "B"),
         ]
-        verifier = TextVerifier(text_model, batched=True)
+        verifier = TextVerifier(text_model)
         direct = verifier.verify_cells(canvas.pixels, cells)
         plan = ValidationPlan()
         cell_range = plan.add_cells(canvas.pixels, cells)
@@ -204,7 +303,7 @@ class TestForwardAccounting:
         assert forwards_for(513, 512) == 2
 
     def test_chunked_round_charges_one_forward_per_chunk(self, text_model):
-        verifier = TextVerifier(text_model, batched=True, chunk_size=4)
+        verifier = TextVerifier(text_model, chunk_size=4)
         tiles = [np.full((32, 32), 20.0 * i) for i in range(9)]
         verifier.verify_tiles(tiles, ["a"] * 9)
         assert verifier.invocations == 9
