@@ -5,19 +5,27 @@ The script (1) renders the web page with the server's reference stack and
 Per-character cells reproduce the renderer's layout geometry exactly —
 that agreement is what lets the client-side validator crop the right
 pixels for each expected character.
+
+Issuance is one render pass: the elements are drawn in order onto one
+canvas, and each checkbox, radio group and select has its state
+appearances drawn into its own rows just before its pristine self.
 """
 
 from __future__ import annotations
 
 import copy
 
-from repro.raster.text import char_advance, layout_text
+import numpy as np
+
+from repro.raster.stacks import RenderStack, reference_stack
+from repro.raster.text import layout_text
 from repro.vision.components import Rect
+from repro.vision.image import WHITE, Image
 from repro.vspec.spec import CharCell, ManifestEntry, NestedSpec, VSpec
 from repro.vspec.validation import JsonMatchValidation
 from repro.web import elements as el
 from repro.web import layout as lay
-from repro.web.render import render_page
+from repro.web.render import _draw_text, draw_element, page_canvas
 
 
 def _char_cells(text: str, origin_x: int, origin_y: int, size: int) -> list:
@@ -51,63 +59,36 @@ def _text_entry_rect(cells: list, fallback: Rect) -> Rect:
     return rect
 
 
-def _render_state(page: el.Page, mutate) -> "np.ndarray":
-    """Render the page with a temporary element mutation applied."""
-    snapshot = copy.deepcopy(page)
-    mutate(snapshot)
-    return render_page(snapshot, include_title=True).pixels
+def _state_appearances(
+    canvas: Image, element: el.Element, box: Rect, states: dict, stack: RenderStack
+) -> dict:
+    """Each state's appearance of ``element``, cropped at ``box``.
+
+    ``states`` maps a form value to the attributes that put the element in
+    that state.  A copy of the element in each state is drawn into the
+    element's rows of ``canvas`` (the pristine page drawn so far), the box
+    is cropped and clipped as the finished raster is, and the rows are
+    restored.  Layout stacks elements in disjoint row bands, so these
+    crops equal the same boxes of a full-page render in each state.
+    """
+    rows = slice(element.rect.y, element.rect.y2)
+    band = canvas.pixels[rows].copy()
+    appearances = {}
+    for value, attrs in states.items():
+        variant = copy.copy(element)
+        for name, attr in attrs.items():
+            setattr(variant, name, attr)
+        draw_element(canvas, variant, stack)
+        appearances[value] = np.clip(canvas.pixels[box.y : box.y2, box.x : box.x2], 0.0, WHITE)
+        canvas.pixels[rows] = band
+    return appearances
 
 
-def _checkbox_states(page: el.Page, element: el.Checkbox, box: Rect) -> dict:
-    states = {}
-    for value, checked in (("on", True), ("off", False)):
-        def mutate(p, checked=checked):
-            target = p.find(element.element_id)
-            target.checked = checked
-
-        full = _render_state(page, mutate)
-        states[value] = full[box.y : box.y2, box.x : box.x2]
-    return states
-
-
-def _radio_states(page: el.Page, element: el.RadioGroup) -> dict:
-    rect = element.rect
-    states = {}
-    choices = [("", None)] + [(opt, i) for i, opt in enumerate(element.options)]
-    for value, index in choices:
-        def mutate(p, index=index):
-            target = p.find(element.element_id)
-            target.selected = index
-
-        full = _render_state(page, mutate)
-        states[value] = full[rect.y : rect.y2, rect.x : rect.x2]
-    return states
-
-
-def _select_states(page: el.Page, element: el.SelectBox) -> dict:
-    rect = element.rect
-    states = {}
-    for index, option in enumerate(element.options):
-        def mutate(p, index=index):
-            target = p.find(element.element_id)
-            target.selected = index
-            target.open = False
-
-        full = _render_state(page, mutate)
-        states[option] = full[rect.y : rect.y2, rect.x : rect.x2]
-    return states
-
-
-def _scrollable_nested(element: el.ScrollableList) -> NestedSpec:
+def _scrollable_nested(element: el.ScrollableList, stack: RenderStack) -> NestedSpec:
     """Merged expected appearance: every row of the list, full height."""
-    from repro.vision.image import Image
-    from repro.raster.stacks import reference_stack
-    from repro.web.render import _draw_text  # shared text drawing
-
     row_h = lay.ROW_HEIGHT
     strip = Image.blank(element.rect.w, row_h * len(element.items) + 4, 252.0)
     entries = []
-    stack = reference_stack()
     for i, item in enumerate(element.items):
         y = 2 + i * row_h
         _draw_text(strip, item, 8, y + 4, lay.LABEL_SIZE, stack)
@@ -135,8 +116,8 @@ def build_vspec(
     over every user-input field on the page.
     """
     pristine = copy.deepcopy(page)
-    height = lay.layout_page(pristine)
-    expected = render_page(pristine, include_title=True)
+    stack = reference_stack()
+    canvas = page_canvas(pristine, stack)
 
     entries: list = []
     nested: dict = {}
@@ -180,12 +161,13 @@ def build_vspec(
         elif isinstance(element, el.Checkbox):
             size = lay.CHECKBOX_SIZE
             box = Rect(rect.x, rect.y + (rect.h - size) // 2, size, size)
+            states = {"on": {"checked": True}, "off": {"checked": False}}
             entries.append(
                 ManifestEntry(
                     kind="checkbox",
                     rect=box,
                     input_name=element.name,
-                    state_appearances=_checkbox_states(pristine, element, box),
+                    state_appearances=_state_appearances(canvas, element, box, states, stack),
                     initial_value="on" if element.checked else "off",
                 )
             )
@@ -196,12 +178,14 @@ def build_vspec(
                 ManifestEntry(kind="text", rect=_text_entry_rect(cells, rect), chars=cells)
             )
         elif isinstance(element, el.RadioGroup):
+            states = {"": {"selected": None}}
+            states.update((opt, {"selected": i}) for i, opt in enumerate(element.options))
             entries.append(
                 ManifestEntry(
                     kind="radio",
                     rect=rect,
                     input_name=element.name,
-                    state_appearances=_radio_states(pristine, element),
+                    state_appearances=_state_appearances(canvas, element, rect, states, stack),
                     initial_value=element.request_fields()[element.name],
                 )
             )
@@ -216,12 +200,13 @@ def build_vspec(
                     ManifestEntry(kind="text", rect=_text_entry_rect(cells, rect), chars=cells)
                 )
         elif isinstance(element, el.SelectBox):
+            states = {opt: {"selected": i, "open": False} for i, opt in enumerate(element.options)}
             entries.append(
                 ManifestEntry(
                     kind="select",
                     rect=rect,
                     input_name=element.name,
-                    state_appearances=_select_states(pristine, element),
+                    state_appearances=_state_appearances(canvas, element, rect, states, stack),
                     initial_value=element.options[element.selected],
                 )
             )
@@ -235,7 +220,7 @@ def build_vspec(
             )
         elif isinstance(element, el.ScrollableList):
             nested_id = f"nested-{element.element_id}"
-            nested[nested_id] = _scrollable_nested(element)
+            nested[nested_id] = _scrollable_nested(element, stack)
             entries.append(
                 ManifestEntry(
                     kind="scroll-v",
@@ -252,7 +237,11 @@ def build_vspec(
                 f"page {page_id!r} contains unsupported element "
                 f"{type(element).__name__}; run apply_compat_fixes first"
             )
+        draw_element(canvas, element, stack)
 
+    # The reference stack draws without dither: the finished raster is the
+    # clipped canvas, as render_page would return it.
+    expected = canvas.clip()
     if validation is None:
         field_names = tuple(sorted(pristine.form_values()))
         validation = JsonMatchValidation(fields=field_names)

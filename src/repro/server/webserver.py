@@ -51,10 +51,11 @@ class WebServer:
     # -- setup ------------------------------------------------------------
 
     def register_page(self, page_id: str, page: Page, validation=None) -> None:
-        """One-time page registration (VSPEC template built lazily per width).
+        """One-time page registration.
 
         The server keeps its own pristine copy: whatever a client later
-        does to its served page cannot leak into issued VSPECs.
+        does to its served page cannot leak into issued VSPECs, which
+        :meth:`vspec_for` builds from it for every guest.
         """
         if page_id in self._pages:
             raise ValueError(f"page {page_id!r} already registered")

@@ -3,7 +3,7 @@
 vWitness determines the browser's current view port by sliding the sampled
 frame over the VSPEC's "long" expected appearance and picking the vertical
 offset with the best match (paper §III-C1).  Scrollable elements reuse the
-same machinery with a horizontal or vertical axis (nested VSPECs).
+same vertical search over their nested VSPECs.
 
 The search is exhaustive: every offset is scored.  Following Lewis, *Fast
 Normalized Cross-Correlation* (1995), the zero-normalized
@@ -271,11 +271,6 @@ def best_vertical_offset(frame, long_image) -> MatchResult:
     if f.shape[0] == long_arr.shape[0]:
         return MatchResult(0, normalized_cross_correlation(f, long_arr))
     return page._search(f)
-
-
-def best_horizontal_offset(frame, wide_image) -> MatchResult:
-    """Horizontal analogue of :func:`best_vertical_offset` (scrollable rows)."""
-    return best_vertical_offset(as_array(frame).T, as_array(wide_image).T)
 
 
 def _fft_length(n: int) -> int:

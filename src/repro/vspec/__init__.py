@@ -25,7 +25,12 @@ from repro.vspec.validation import (
     ValidationError,
     run_validation,
 )
-from repro.vspec.serialize import vspec_digest, vspec_from_payload, vspec_to_payload
+from repro.vspec.serialize import (
+    vspec_digest,
+    vspec_from_payload,
+    vspec_state_rasters,
+    vspec_to_payload,
+)
 
 __all__ = [
     "VSpec",
@@ -39,4 +44,5 @@ __all__ = [
     "vspec_digest",
     "vspec_to_payload",
     "vspec_from_payload",
+    "vspec_state_rasters",
 ]

@@ -78,6 +78,19 @@ def _array_digest(arr: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def vspec_state_rasters(vspec: VSpec) -> dict:
+    """Every entry's state appearances, keyed ``"<entry index>:<value>"``.
+
+    The keys of the payload's ``state_digests``: these rasters travel out
+    of band with the expected appearance.
+    """
+    return {
+        f"{i}:{value}": appearance
+        for i, entry in enumerate(vspec.entries)
+        for value, appearance in sorted(entry.state_appearances.items())
+    }
+
+
 def vspec_to_payload(vspec: VSpec) -> dict:
     """Canonical JSON-able description of a VSPEC (images as digests)."""
     return {
@@ -90,12 +103,14 @@ def vspec_to_payload(vspec: VSpec) -> dict:
         "expected_digest": _array_digest(vspec.expected),
         "entries": [_entry_to_dict(e) for e in vspec.entries],
         "state_digests": {
-            f"{i}:{value}": _array_digest(appearance)
-            for i, entry in enumerate(vspec.entries)
-            for value, appearance in sorted(entry.state_appearances.items())
+            key: _array_digest(appearance) for key, appearance in vspec_state_rasters(vspec).items()
         },
         "nested": {
-            key: {"axis": n.axis, "expected_digest": _array_digest(n.expected)}
+            key: {
+                "axis": n.axis,
+                "expected_digest": _array_digest(n.expected),
+                "entries": [_entry_to_dict(e) for e in n.entries],
+            }
             for key, n in sorted(vspec.nested.items())
         },
         "validation": _validation_to_dict(vspec.validation),
@@ -108,41 +123,70 @@ def vspec_digest(vspec: VSpec) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def vspec_from_payload(payload: dict, expected: np.ndarray, nested_expected: dict | None = None) -> VSpec:
-    """Rebuild a VSpec from a payload plus the raster(s) it references.
+def _verified(raster, digest: str | None, what: str) -> np.ndarray:
+    if raster is None:
+        raise ValueError(f"missing {what}")
+    if _array_digest(raster) != digest:
+        raise ValueError(f"{what} does not match payload digest")
+    return raster
 
-    Rasters travel out-of-band (they are large); the payload pins them by
-    digest, and this constructor re-verifies the binding.
-    """
-    if _array_digest(expected) != payload["expected_digest"]:
-        raise ValueError("expected appearance does not match payload digest")
-    entries = []
-    for data in payload["entries"]:
-        entries.append(
+
+def _entries_from_dicts(entries: list, state_digests: dict, state_rasters: dict) -> list:
+    rebuilt = []
+    for i, data in enumerate(entries):
+        states = {}
+        for value in data["states"]:
+            key = f"{i}:{value}"
+            states[value] = _verified(
+                state_rasters.get(key), state_digests.get(key), f"state appearance {key!r}"
+            )
+        rebuilt.append(
             ManifestEntry(
                 kind=data["kind"],
                 rect=Rect(*data["rect"]),
                 chars=[CharCell(x, y, w, h, ch) for x, y, w, h, ch in data["chars"]],
                 input_name=data["input_name"],
                 text_size=data["text_size"],
+                state_appearances=states,
                 nested_id=data["nested_id"],
-                initial_value=data.get("initial_value", ""),
+                initial_value=data["initial_value"],
             )
         )
+    return rebuilt
+
+
+def vspec_from_payload(
+    payload: dict,
+    expected: np.ndarray,
+    nested_expected: dict | None = None,
+    state_rasters: dict | None = None,
+) -> VSpec:
+    """Rebuild a VSpec from a payload plus the rasters it references.
+
+    Rasters travel out-of-band (they are large): ``expected``, the nested
+    appearances keyed like the payload's ``nested``, and the state
+    appearances keyed like its ``state_digests`` (see
+    :func:`vspec_state_rasters`).  The payload pins each by digest, and
+    this constructor re-verifies every binding, raising on a raster that
+    is missing or does not match.
+    """
+    _verified(expected, payload["expected_digest"], "expected appearance")
+    nested_expected = nested_expected or {}
+    state_rasters = state_rasters or {}
     nested = {}
-    for key, meta in payload.get("nested", {}).items():
-        if nested_expected is None or key not in nested_expected:
-            raise ValueError(f"missing nested expected appearance for {key!r}")
-        arr = nested_expected[key]
-        if _array_digest(arr) != meta["expected_digest"]:
-            raise ValueError(f"nested appearance {key!r} does not match payload digest")
-        nested[key] = NestedSpec(axis=meta["axis"], expected=arr)
+    for key, meta in payload["nested"].items():
+        arr = _verified(
+            nested_expected.get(key), meta["expected_digest"], f"nested appearance {key!r}"
+        )
+        nested[key] = NestedSpec(
+            axis=meta["axis"], expected=arr, entries=_entries_from_dicts(meta["entries"], {}, {})
+        )
     return VSpec(
         page_id=payload["page_id"],
         width=payload["width"],
         height=payload["height"],
         expected=expected,
-        entries=entries,
+        entries=_entries_from_dicts(payload["entries"], payload["state_digests"], state_rasters),
         background=payload["background"],
         validation=_validation_from_dict(payload["validation"]),
         session_id=payload["session_id"],

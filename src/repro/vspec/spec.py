@@ -85,16 +85,18 @@ class NestedSpec:
 
     ``expected`` merges *all* possible appearances of the scrollable —
     for a vertical list, every row stacked at full height.  ``entries``
-    are manifest entries in the nested coordinate space.
+    are manifest entries in the nested coordinate space.  The display
+    validator searches nested viewports vertically only, so ``axis`` must
+    be ``"vertical"``.
     """
 
-    axis: str  # "vertical" | "horizontal"
+    axis: str
     expected: np.ndarray
     entries: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.axis not in ("vertical", "horizontal"):
-            raise ValueError(f"axis must be vertical|horizontal, got {self.axis!r}")
+        if self.axis != "vertical":
+            raise ValueError(f"nested specs scroll vertically only, got axis {self.axis!r}")
 
 
 @dataclass

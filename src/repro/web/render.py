@@ -240,6 +240,54 @@ def Rect_expand_safe(rect, margin: int, canvas: Image):
     return out
 
 
+def draw_element(
+    canvas: Image,
+    element: el.Element,
+    stack: RenderStack,
+    pof: POFStyle = DEFAULT_POF,
+    focus: FocusState | None = None,
+) -> None:
+    """Draw one laid-out element onto ``canvas`` (the one element dispatch).
+
+    :func:`render_page` draws every element with it, and VSPEC generation
+    draws each stateful input's alternative appearances with it.
+    """
+    if isinstance(element, el.TextBlock):
+        _draw_wrapped_text(canvas, element, stack)
+    elif isinstance(element, el.ImageElement):
+        tile = _render_image_content(element, stack)
+        canvas.paste(tile, element.rect.x, element.rect.y)
+    elif isinstance(element, el.TextInput):
+        _draw_input_box(canvas, element, stack, pof, focus)
+    elif isinstance(element, el.Checkbox):
+        _draw_checkbox(canvas, element, stack, pof, focus)
+    elif isinstance(element, el.RadioGroup):
+        _draw_radio_group(canvas, element, stack, pof, focus)
+    elif isinstance(element, el.SelectBox):
+        _draw_select(canvas, element, stack, pof, focus)
+    elif isinstance(element, el.Button):
+        _draw_button(canvas, element, stack, pof, focus)
+    elif isinstance(element, el.ScrollableList):
+        _draw_scrollable(canvas, element, stack, pof, focus)
+    elif isinstance(element, el.IFrame):
+        _draw_placeholder(canvas, element, f"iframe: {element.src}", stack, pof)
+    elif isinstance(element, el.FileInput):
+        _draw_placeholder(canvas, element, f"{element.label} (choose file)", stack, pof)
+    elif isinstance(element, el.VideoElement):
+        _draw_placeholder(canvas, element, "video", stack, pof)
+    else:  # pragma: no cover - exhaustive today
+        raise TypeError(f"no renderer for {type(element).__name__}")
+
+
+def page_canvas(page: el.Page, stack: RenderStack, include_title: bool = True) -> Image:
+    """Lay ``page`` out and return its blank full-height canvas (title drawn)."""
+    height = lay.layout_page(page)
+    canvas = Image.blank(page.width, height, page.background)
+    if include_title:
+        _draw_text(canvas, page.title, lay.MARGIN_X, 10, 18, stack)
+    return canvas
+
+
 def render_page(
     page: el.Page,
     stack: RenderStack | None = None,
@@ -254,35 +302,8 @@ def render_page(
     focus state.
     """
     stack = stack or reference_stack()
-    height = lay.layout_page(page)
-    canvas = Image.blank(page.width, height, page.background)
-    if include_title:
-        _draw_text(canvas, page.title, lay.MARGIN_X, 10, 18, stack)
+    canvas = page_canvas(page, stack, include_title)
     for element in page.elements:
-        if isinstance(element, el.TextBlock):
-            _draw_wrapped_text(canvas, element, stack)
-        elif isinstance(element, el.ImageElement):
-            tile = _render_image_content(element, stack)
-            canvas.paste(tile, element.rect.x, element.rect.y)
-        elif isinstance(element, el.TextInput):
-            _draw_input_box(canvas, element, stack, pof, focus)
-        elif isinstance(element, el.Checkbox):
-            _draw_checkbox(canvas, element, stack, pof, focus)
-        elif isinstance(element, el.RadioGroup):
-            _draw_radio_group(canvas, element, stack, pof, focus)
-        elif isinstance(element, el.SelectBox):
-            _draw_select(canvas, element, stack, pof, focus)
-        elif isinstance(element, el.Button):
-            _draw_button(canvas, element, stack, pof, focus)
-        elif isinstance(element, el.ScrollableList):
-            _draw_scrollable(canvas, element, stack, pof, focus)
-        elif isinstance(element, el.IFrame):
-            _draw_placeholder(canvas, element, f"iframe: {element.src}", stack, pof)
-        elif isinstance(element, el.FileInput):
-            _draw_placeholder(canvas, element, f"{element.label} (choose file)", stack, pof)
-        elif isinstance(element, el.VideoElement):
-            _draw_placeholder(canvas, element, "video", stack, pof)
-        else:  # pragma: no cover - exhaustive today
-            raise TypeError(f"no renderer for {type(element).__name__}")
+        draw_element(canvas, element, stack, pof, focus)
     canvas.pixels = stack.apply_noise(canvas.pixels, salt=hash(page.title) % 9973)
     return canvas.clip()

@@ -1,5 +1,7 @@
 """Tests for VSPEC generation, the compat script and server verification."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,11 @@ from repro.web.elements import (
     TextInput,
     VideoElement,
 )
+from repro.datasets.forms import jotform_page
+from repro.scenarios.pages import ARCHETYPES, build_archetype_pages
+from repro.web import layout as lay
 from repro.web.html import page_to_html
+from repro.web.render import render_page
 
 
 def _rich_page():
@@ -97,6 +103,70 @@ class TestVSpecGeneration:
         page = Page(title="T", elements=[FileInput("doc")])
         with pytest.raises(ValueError, match="compat"):
             build_vspec(page, "bad")
+
+
+def _full_page_issuance(page: Page) -> tuple:
+    """Reference: the expected raster and every stateful entry's state
+    appearances from a whole-page render per state (the former issuance)."""
+    pristine = copy.deepcopy(page)
+    expected = render_page(pristine, include_title=True).pixels
+
+    def crop(element, box, **attrs):
+        snapshot = copy.deepcopy(pristine)
+        target = snapshot.find(element.element_id)
+        for name, value in attrs.items():
+            setattr(target, name, value)
+        return render_page(snapshot, include_title=True).pixels[box.y : box.y2, box.x : box.x2]
+
+    appearances = []
+    for element in pristine.elements:
+        rect = element.rect
+        if isinstance(element, Checkbox):
+            size = lay.CHECKBOX_SIZE
+            box = Rect(rect.x, rect.y + (rect.h - size) // 2, size, size)
+            appearances.append({v: crop(element, box, checked=c) for v, c in (("on", True), ("off", False))})
+        elif isinstance(element, RadioGroup):
+            states = {"": crop(element, rect, selected=None)}
+            for i, option in enumerate(element.options):
+                states[option] = crop(element, rect, selected=i)
+            appearances.append(states)
+        elif isinstance(element, SelectBox):
+            appearances.append(
+                {o: crop(element, rect, selected=i, open=False) for i, o in enumerate(element.options)}
+            )
+    return expected, appearances
+
+
+def _oracle_pages():
+    yield _rich_page()
+    for archetype in ARCHETYPES:
+        for seed in (0, 1):
+            yield from build_archetype_pages(archetype, seed)
+    for seed in range(210):
+        yield jotform_page(seed, 640)
+
+
+class TestOneRenderPass:
+    def test_issuance_matches_full_page_renders(self):
+        """One render pass gives the rasters a full-page render per state gives."""
+        stateful = 0
+        for page in _oracle_pages():
+            expected, appearances = _full_page_issuance(page)
+            vspec = build_vspec(page, "oracle")
+            assert vspec.expected.dtype == expected.dtype
+            assert np.array_equal(vspec.expected, expected), page.title
+            issued = [
+                e.state_appearances for e in vspec.entries if e.kind in ("checkbox", "radio", "select")
+            ]
+            assert len(issued) == len(appearances), page.title
+            for got, want in zip(issued, appearances):
+                assert list(got) == list(want), page.title
+                for value in want:
+                    assert got[value].shape == want[value].shape, (page.title, value)
+                    assert got[value].dtype == want[value].dtype, (page.title, value)
+                    assert np.array_equal(got[value], want[value]), (page.title, value)
+                stateful += len(want)
+        assert stateful > 1000
 
 
 class TestCompatScript:
@@ -216,6 +286,18 @@ class TestWebServer:
         result = server.verify(request)
         assert not result.ok
         assert "certificate" in result.reason
+
+    def test_request_over_edited_nested_entries_refused(self):
+        ca, server = self._server()
+        vspec = server.vspec_for("order", 640)
+        (key, nested), = vspec.nested.items()
+        tampered = copy.copy(vspec)
+        tampered.nested = {key: copy.copy(nested)}
+        tampered.nested[key].entries = nested.entries[:-1]
+        result = server.verify(self._certified(ca, server, tampered))
+        assert not result.ok
+        assert "VSPEC echo" in result.reason
+        assert server.verify(self._certified(ca, server, vspec)).ok
 
     def test_uncertified_request_rejected(self):
         _ca, server = self._server()

@@ -11,7 +11,6 @@ from repro.vision.image import Image, as_array
 from repro.vision.match import (
     MatchResult,
     PageSpectrum,
-    best_horizontal_offset,
     best_vertical_offset,
     match_template,
     normalized_cross_correlation,
@@ -100,14 +99,6 @@ class TestViewportSearch:
         with pytest.raises(ValueError):
             best_vertical_offset(Image.blank(200, 700), page)
 
-    def test_horizontal_variant(self):
-        strip = Image.blank(600, 40)
-        strip.paste(render_text_line("LEFT", 16), 20, 10)
-        strip.paste(render_text_line("RIGHT", 16), 480, 10)
-        window = strip.crop(460, 0, 120, 40)
-        result = best_horizontal_offset(window, strip)
-        assert result.offset == 460
-
 
 def _brute_force(frame, page) -> MatchResult:
     """The oracle: the shipped NCC at every offset, exact ties to the lowest."""
@@ -182,15 +173,6 @@ class TestExhaustiveSearchParity:
         frame = sections[233:353] + np.random.default_rng(4).uniform(-noise, noise, (120, 200))
         assert best_vertical_offset(frame, sections).score == 1.0
         assert len(calls) <= 2
-
-    def test_horizontal_variant_matches_brute_force(self):
-        strip = Image.blank(600, 40)
-        strip.paste(render_text_line("LEFT", 16), 20, 10)
-        strip.paste(render_text_line("RIGHT", 16), 480, 10)
-        window = strip.crop(457, 0, 120, 40).pixels
-        result = best_horizontal_offset(window, strip)
-        assert result == _brute_force(window.T, strip.pixels.T)
-        assert result.offset == 457
 
     def test_updated_spectrum_matches_fresh(self):
         form = _periodic_form()

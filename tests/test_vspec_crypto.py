@@ -7,8 +7,15 @@ from repro.crypto.ca import CertificateAuthority, CertificateError
 from repro.crypto.keys import MeasuredState, SealedSigningKey, SealError, generate_signing_key
 from repro.crypto.signing import SignatureError, canonical_body, sign_request, verify_request
 from repro.vision.components import Rect
-from repro.vspec.serialize import vspec_digest, vspec_from_payload, vspec_to_payload
-from repro.vspec.spec import CharCell, ManifestEntry, VSpec
+from repro.datasets.forms import jotform_page
+from repro.server.generate import build_vspec
+from repro.vspec.serialize import (
+    vspec_digest,
+    vspec_from_payload,
+    vspec_state_rasters,
+    vspec_to_payload,
+)
+from repro.vspec.spec import CharCell, ManifestEntry, NestedSpec, VSpec
 from repro.vspec.validation import (
     Constraint,
     ConstraintValidation,
@@ -74,6 +81,11 @@ class TestVSpecModel:
     def test_bad_entry_kind_rejected(self):
         with pytest.raises(ValueError):
             ManifestEntry(kind="hologram", rect=Rect(0, 0, 1, 1))
+
+    def test_nested_spec_scrolls_vertically_only(self):
+        NestedSpec(axis="vertical", expected=np.zeros((8, 4)))
+        with pytest.raises(ValueError, match="vertically"):
+            NestedSpec(axis="horizontal", expected=np.zeros((4, 8)))
 
 
 class TestValidationFunctions:
@@ -155,6 +167,58 @@ class TestVSpecSerialization:
         payload = vspec_to_payload(spec)
         with pytest.raises(ValueError, match="digest"):
             vspec_from_payload(payload, np.zeros((60, 40)))
+
+    @staticmethod
+    def _issued_page():
+        """A generated Jotform page with stateful inputs and a nested list."""
+        spec = build_vspec(jotform_page(8, 640), "jotform-8", session_id="s1")
+        assert sum(1 for e in spec.entries if e.state_appearances) == 2
+        assert sum(len(n.entries) for n in spec.nested.values()) == 6
+        return spec
+
+    def test_generated_payload_round_trip_is_lossless(self):
+        spec = self._issued_page()
+        nested_expected = {key: n.expected for key, n in spec.nested.items()}
+        rebuilt = vspec_from_payload(
+            vspec_to_payload(spec), spec.expected, nested_expected, vspec_state_rasters(spec)
+        )
+        assert vspec_digest(rebuilt) == vspec_digest(spec)
+        for got, want in zip(rebuilt.entries, spec.entries, strict=True):
+            assert got.chars == want.chars and got.rect == want.rect
+            assert list(got.state_appearances) == sorted(want.state_appearances)
+            for value, appearance in want.state_appearances.items():
+                assert np.array_equal(got.state_appearances[value], appearance)
+        for key, nested in spec.nested.items():
+            assert rebuilt.nested[key].entries == nested.entries
+
+    def test_payload_rejects_missing_or_wrong_state_raster(self):
+        spec = self._issued_page()
+        payload = vspec_to_payload(spec)
+        nested_expected = {key: n.expected for key, n in spec.nested.items()}
+        rasters = vspec_state_rasters(spec)
+        key = next(iter(rasters))
+        missing = {k: v for k, v in rasters.items() if k != key}
+        with pytest.raises(ValueError, match="missing state appearance"):
+            vspec_from_payload(payload, spec.expected, nested_expected, missing)
+        wrong = dict(rasters, **{key: 255.0 - rasters[key]})
+        with pytest.raises(ValueError, match="state appearance .* digest"):
+            vspec_from_payload(payload, spec.expected, nested_expected, wrong)
+
+    def test_digest_binds_nested_entries(self):
+        spec = self._issued_page()
+        digest = vspec_digest(spec)
+        (key, nested), = spec.nested.items()
+        first, *rest = nested.entries
+        dropped = NestedSpec(axis="vertical", expected=nested.expected, entries=rest)
+        assert vspec_digest(VSpec(**{**vars(spec), "nested": {key: dropped}})) != digest
+        cell = first.chars[0]
+        edited_first = ManifestEntry(
+            kind=first.kind,
+            rect=first.rect,
+            chars=[CharCell(cell.x, cell.y, cell.w, cell.h, "#"), *first.chars[1:]],
+        )
+        edited = NestedSpec(axis="vertical", expected=nested.expected, entries=[edited_first, *rest])
+        assert vspec_digest(VSpec(**{**vars(spec), "nested": {key: edited}})) != digest
 
 
 class TestSealing:
