@@ -7,6 +7,13 @@ between consecutive screenshots), they are what makes subsequent-frame
 validation an order of magnitude cheaper than the first frame
 (Table VIII vs Table IX).
 
+:class:`DifferentialDetector` keeps, per session, the pixels last
+validated, the previous sample, a boolean buffer for the per-sample exact
+comparison and the last fully diffed frame quantized to uint8.  Each
+sample costs one whole-frame ``!=`` into the kept buffer; quantization
+and the thresholded difference run only on what changed since the last
+full diff, and nothing per sample allocates a whole-frame temporary.
+
 :class:`DigestCache` is a thread-safe LRU: a ``get`` hit refreshes the
 entry's recency and, at capacity, the least-recently-used entry is
 evicted — a shared cross-session cache under pressure keeps the verdicts
@@ -20,8 +27,9 @@ import threading
 
 import numpy as np
 
+from repro.vision.components import box_union
 from repro.vision.diff import changed_regions
-from repro.vision.hashing import region_digest
+from repro.vision.image import to_uint8
 
 
 #: Internal miss marker: distinguishes "key absent" from any stored value
@@ -199,39 +207,91 @@ class DifferentialDetector:
     frame whose reported changes all lie inside some boxes differs from
     the pixels last validated only inside those boxes, by more than the
     threshold (what viewport tracking relies on).
+
+    Per sample the detector makes one exact comparison with the previous
+    sample, into a kept boolean buffer; everything after it is confined
+    to the changed area.  It keeps:
+
+    * the previous sample, updated inside each sample's change box, and
+      that box (:attr:`change_box`, for consumers that carry their own
+      per-frame state, such as the focus-outline search);
+    * the box of everything that changed since the last frame that took
+      the full path (the *base* frame): outside it, the sample equals the
+      base frame exactly;
+    * the base frame quantized to uint8.  A frame is "identical" when its
+      quantization equals the base frame's, which only the accumulated
+      box can break, so only that box is quantized (and nothing, when the
+      sample is bit-equal to the base frame).
+
+    After a full diff every pixel is within ``threshold`` of the
+    reference, so a pixel unchanged since the base frame cannot be
+    reported: the difference runs on the accumulated box alone (grown by
+    the merge radius so the dilation sees what it would on the whole
+    frame), and the regions equal the whole frame's.
     """
 
     def __init__(self, threshold: float = 4.0, merge_radius: int = 4) -> None:
         self.threshold = threshold
         self.merge_radius = merge_radius
-        self._previous: np.ndarray | None = None
-        self._previous_digest: str | None = None
+        #: ``(y0, x0, y1, x1)`` of the pixels that differ from the previous
+        #: sample (the whole frame when there was no comparable one), or
+        #: ``None`` when the sample repeats the previous one bit for bit.
+        self.change_box: tuple | None = None
+        self._reference: np.ndarray | None = None
+        self._last: np.ndarray | None = None
+        self._unequal: np.ndarray | None = None
+        self._base_quantized: np.ndarray | None = None
+        self._since_base: tuple | None = None
 
     def changed(self, frame_pixels: np.ndarray):
-        digest = region_digest(frame_pixels)
-        if self._previous is None:
-            self._previous = frame_pixels.copy()
-            self._previous_digest = digest
+        if self._last is None or self._last.shape != frame_pixels.shape:
+            self._base_quantized = to_uint8(frame_pixels)
+            self._reference = frame_pixels.copy()
+            self._last = frame_pixels.copy()
+            self._unequal = np.empty(frame_pixels.shape, dtype=bool)
+            self._since_base = None
+            self.change_box = (0, 0, *frame_pixels.shape)
             return None
-        if digest == self._previous_digest:
-            # The last frame again: it is already within ``threshold`` of
-            # the reference everywhere outside the rectangles copied in.
+        box = self.change_box = self._sample_change(frame_pixels)
+        if box is not None:
+            y0, x0, y1, x1 = box
+            self._last[y0:y1, x0:x1] = frame_pixels[y0:y1, x0:x1]
+            self._since_base = box if self._since_base is None else box_union(self._since_base, box)
+        if self._since_base is None:
             return []
-        if self._previous.shape != frame_pixels.shape:
-            self._previous = frame_pixels.copy()
-            self._previous_digest = digest
-            return None
+        y0, x0, y1, x1 = self._since_base
+        quantized = to_uint8(frame_pixels[y0:y1, x0:x1])
+        if np.array_equal(quantized, self._base_quantized[y0:y1, x0:x1]):
+            # Displays as the base frame does: it is already within
+            # ``threshold`` of the reference outside the rectangles copied in.
+            return []
+        h, w = frame_pixels.shape
+        r = self.merge_radius
+        gy0, gx0, gy1, gx1 = max(y0 - r, 0), max(x0 - r, 0), min(y1 + r, h), min(x1 + r, w)
         regions = [
-            d.rect
+            d.rect.translated(gx0, gy0)
             for d in changed_regions(
-                self._previous, frame_pixels, threshold=self.threshold, merge_radius=self.merge_radius
+                self._reference[gy0:gy1, gx0:gx1],
+                frame_pixels[gy0:gy1, gx0:gx1],
+                threshold=self.threshold,
+                merge_radius=r,
             )
         ]
-        for r in regions:
-            self._previous[r.y : r.y2, r.x : r.x2] = frame_pixels[r.y : r.y2, r.x : r.x2]
-        self._previous_digest = digest
+        for rect in regions:
+            self._reference[rect.y : rect.y2, rect.x : rect.x2] = (
+                frame_pixels[rect.y : rect.y2, rect.x : rect.x2]
+            )
+        self._base_quantized[y0:y1, x0:x1] = quantized
+        self._since_base = None
         return regions
 
-    def reset(self) -> None:
-        self._previous = None
-        self._previous_digest = None
+    def _sample_change(self, frame_pixels: np.ndarray) -> tuple | None:
+        """Box of the pixels where ``frame_pixels`` differs from the
+        previous sample (one comparison into the kept buffer), or None."""
+        unequal = np.not_equal(frame_pixels, self._last, out=self._unequal)
+        rows = np.flatnonzero(unequal.any(axis=1))
+        if not rows.size:
+            return None
+        y0, y1 = int(rows[0]), int(rows[-1]) + 1
+        cols = np.flatnonzero(unequal[y0:y1].any(axis=0))
+        return (y0, int(cols[0]), y1, int(cols[-1]) + 1)

@@ -429,7 +429,7 @@ class DisplayValidator:
                 # The selected option's text is dynamic content: verify the
                 # characters with the text model on top of the chrome match.
                 self._collect_select_text(entry, state, frame_pixels, offset, plan, deferred)
-        elif entry.kind in ("scroll-v", "scroll-h"):
+        elif entry.kind == "scroll-v":
             self._collect_scrollable(entry, frame_pixels, offset, viewport, plan, deferred)
         else:  # pragma: no cover - manifest kinds are closed
             raise ValueError(f"unknown entry kind {entry.kind!r}")

@@ -205,7 +205,7 @@ class InteractionTracker:
                 return False
             observed = frame_pixels[fy : fy + entry.rect.h, entry.rect.x : entry.rect.x2]
             return structural_match(observed, entry.state_appearances[value])
-        if entry.kind in ("scroll-v", "scroll-h"):
+        if entry.kind == "scroll-v":
             # The display validator checks list content; the selected item
             # must be one of the list's legal values.
             nested = self.vspec.nested.get(entry.nested_id)

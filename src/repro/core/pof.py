@@ -13,8 +13,11 @@ forge them — the consistency rules catch forgeries:
 
 Carets and highlights only count in input fields, so their bands are
 labelled in windows around the fields, with the whole frame as the exact
-fallback (:func:`_band_components`); the focus outline is searched on the
-whole frame, since a forged outline anywhere counts.
+fallback (:func:`_band_components`).  A focus outline counts anywhere on
+the frame, since a forged one anywhere is a violation; a session carries
+that search across its frames (:class:`OutlineSearch`), so after its
+first frame only the outline band around what changed is relabelled,
+with the same result as labelling the whole frame.
 """
 
 from __future__ import annotations
@@ -23,11 +26,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.vision.components import Rect, box_rect, component_boxes, find_rectangles
+from repro.vision.components import (
+    Rect,
+    box_rect,
+    box_union,
+    component_boxes,
+    is_hollow,
+    label_components,
+)
 from repro.web.render import DEFAULT_POF, POFStyle
 
 #: Intensity tolerance when matching POF bands (absorbs stack noise).
 BAND_TOL = 10.0
+
+#: A focus outline is a hollow rectangle in the outline band, larger than
+#: any glyph (fields are tens of pixels tall and wide): the
+#: :func:`~repro.vision.components.find_rectangles` parameters.
+OUTLINE_MIN_WIDTH, OUTLINE_MIN_HEIGHT = 30, 16
+OUTLINE_MAX_FILL, OUTLINE_MIN_BORDER_COVER = 0.5, 0.7
 
 
 @dataclass
@@ -205,10 +221,114 @@ def _band_components(
     return found
 
 
+class OutlineSearch:
+    """The focus-outline search of one session, carried across its frames.
+
+    Outlines are the outline-band components that pass
+    :func:`~repro.vision.components.find_rectangles`' size and hollowness
+    tests, anywhere on the frame.  The search keeps every band component
+    of the last frame it searched (Q), with its verdict, and is told the
+    exact change boxes of the samples since (:meth:`note_change`).  With
+    G the union of those boxes grown by 1 px, it labels only the window
+    bounding G and the boxes of the kept components that meet G, keeps the
+    window's components whose box meets G and carries every other
+    component, verdict included.  This is exact, with no fallback:
+
+    * a component whose box misses G has no changed pixel and no changed
+      neighbour, so it is a component of the new frame with the same box
+      and the same box contents, hence the same verdict;
+    * a component of the new frame whose box meets G lies inside the
+      window: a pixel of it outside the window is unchanged, so it
+      belonged to a component of Q whose box meets G (else that component
+      is carried whole and is this one, whose box would miss G), and
+      that box lies inside the window.
+
+    Outlines come back in ``find_rectangles``' order: by box corner, ties
+    in label order (the raster order of each component's first pixel).
+    A search with nothing carried labels the whole frame.
+    """
+
+    def __init__(self) -> None:
+        self._key: tuple | None = None  # (frame shape, band intensity) of Q
+        self._boxes = np.empty((0, 4), dtype=np.intp)
+        #: Sort key ``(y0, x0, first pixel's x)`` of each outline among them.
+        self._outlines: dict = {}
+        self._changed: tuple | None = None
+
+    def note_change(self, box: tuple | None) -> None:
+        """Add one sample's exact change box ``(y0, x0, y1, x1)`` (None: no change)."""
+        if box is not None:
+            self._changed = box if self._changed is None else box_union(self._changed, box)
+
+    def outlines(self, frame_pixels: np.ndarray, intensity: float) -> list:
+        """The focus outlines (band ``intensity``) of ``frame_pixels``.
+
+        Exact only if every sample since the last search had its change
+        box noted; a new frame shape or band labels the whole frame.
+        """
+        h, w = frame_pixels.shape
+        key = (frame_pixels.shape, intensity)
+        changed = self._changed
+        if key != self._key:
+            boxes, outlines = self._label((0, 0, h, w), frame_pixels, intensity, None)
+        elif changed is None:
+            boxes, outlines = self._boxes, self._outlines
+        else:
+            g = (max(changed[0] - 1, 0), max(changed[1] - 1, 0),
+                 min(changed[2] + 1, h), min(changed[3] + 1, w))
+            boxes = self._boxes
+            meets = _meets(boxes, g)
+            hit = boxes[meets]
+            window = g
+            if hit.size:
+                window = box_union(g, (*hit[:, :2].min(axis=0), *hit[:, 2:].max(axis=0)))
+            found, outlines = self._label(window, frame_pixels, intensity, g)
+            kept = ~meets
+            rank = np.cumsum(kept) - 1  # a carried component's index after ``found``
+            outlines.update(
+                (len(found) + int(rank[j]), sort_key)
+                for j, sort_key in self._outlines.items() if kept[j]
+            )
+            boxes = np.concatenate([found, boxes[kept]])
+        # Only a completed search replaces the carried state.
+        self._key, self._boxes, self._outlines, self._changed = key, boxes, outlines, None
+        return [
+            box_rect(boxes[i]) for i in sorted(outlines, key=outlines.__getitem__)
+        ]
+
+    @staticmethod
+    def _label(window, frame_pixels, intensity, g) -> tuple:
+        """Band components labelled in ``window`` whose box meets ``g``
+        (all of them when None), as frame-coordinate boxes, and the sort
+        key of each outline among them by index."""
+        wy0, wx0, wy1, wx1 = window
+        mask = _band_mask(frame_pixels[wy0:wy1, wx0:wx1], intensity)
+        labels, found = label_components(mask)
+        boxes = np.array(found, dtype=np.intp).reshape(-1, 4) + (wy0, wx0, wy0, wx0)
+        keep = np.arange(len(boxes)) if g is None else np.flatnonzero(_meets(boxes, g))
+        outlines = {}
+        for i, label in enumerate(keep):
+            y0, x0, y1, x1 = found[label]
+            if x1 - x0 < OUTLINE_MIN_WIDTH or y1 - y0 < OUTLINE_MIN_HEIGHT:
+                continue
+            if is_hollow(mask[y0:y1, x0:x1], OUTLINE_MAX_FILL, OUTLINE_MIN_BORDER_COVER):
+                first = int(np.argmax(labels[y0, x0:x1] == label + 1))
+                outlines[i] = (y0 + wy0, x0 + wx0, x0 + wx0 + first)
+        return boxes[keep], outlines
+
+
+def _meets(boxes: np.ndarray, g: tuple) -> np.ndarray:
+    """Which ``(y0, x0, y1, x1)`` rows of ``boxes`` intersect box ``g``."""
+    return (
+        (boxes[:, 0] < g[2]) & (g[0] < boxes[:, 2]) & (boxes[:, 1] < g[3]) & (g[1] < boxes[:, 3])
+    )
+
+
 def extract_pofs(
     frame_pixels: np.ndarray,
     style: POFStyle = DEFAULT_POF,
     input_rects: list | None = None,
+    outline_search: OutlineSearch | None = None,
 ) -> POFObservation:
     """Locate focus outlines, carets and selection highlights in a frame.
 
@@ -221,15 +341,13 @@ def extract_pofs(
     (:func:`_band_components`), with the same result as labelling the
     whole frame.  The focus outline is searched on the whole frame: a
     forged outline anywhere is counted against the consistency rules.
+    ``outline_search`` carries that search across a session's frames
+    (:class:`OutlineSearch`), so it labels only around what changed;
+    without one, the whole frame is labelled.
     """
     obs = POFObservation()
-
-    # Focus outline: a hollow rectangle in the outline intensity band,
-    # larger than any glyph (fields are tens of pixels tall and wide).
-    outline_mask = _band_mask(frame_pixels, style.outline_intensity)
-    obs.outlines = find_rectangles(
-        outline_mask, min_width=30, min_height=16, max_fill=0.5, min_border_cover=0.7
-    )
+    search = OutlineSearch() if outline_search is None else outline_search
+    obs.outlines = search.outlines(frame_pixels, style.outline_intensity)
 
     areas = None if input_rects is None else [f.expanded(4) for f in input_rects]
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from repro.core.caches import DifferentialDetector, DigestCache
 from repro.core.display import VIEWPORT_SCORE_FLOOR, DisplayResult, DisplayValidator
 from repro.core.interaction import InteractionTracker, Violation
-from repro.core.pof import check_pof_consistency, extract_pofs
+from repro.core.pof import OutlineSearch, check_pof_consistency, extract_pofs
 from repro.core.sampler import ScreenshotSampler
 from repro.core.submission import CertificationDecision, SubmissionValidator
 from repro.core.timing import SessionTiming
@@ -589,6 +589,9 @@ class WitnessSession:
         self._text_verifier: TextVerifier | None = None
         self._image_verifier: ImageVerifier | None = None
         self._diff: DifferentialDetector | None = None
+        #: The focus-outline search carried across frames, fed the
+        #: detector's per-sample change boxes (None with caching off).
+        self._outline_search: OutlineSearch | None = None
         self._tracer = None  # SpanTracer when config.tracing, else None
         self._last_sample_ms = 0.0
         self._last_offset = 0
@@ -666,6 +669,7 @@ class WitnessSession:
         )
         self._tracker_violations_seen = 0
         self._diff = DifferentialDetector() if self.config.caching else None
+        self._outline_search = OutlineSearch() if self.config.caching else None
         now = self.machine.clock.now()
         self._last_sample_ms = now
         self._sampler = ScreenshotSampler(
@@ -759,6 +763,7 @@ class WitnessSession:
         self._text_verifier = None
         self._image_verifier = None
         self._diff = None
+        self._outline_search = None
         self._tracer = None
 
     @property
@@ -845,7 +850,10 @@ class WitnessSession:
             pixels = faults.corrupt_frame(pixels)
             self.report.frames_corrupted += 1
 
-        changed = self._diff.changed(pixels) if self._diff is not None else None
+        changed = None
+        if self._diff is not None:
+            changed = self._diff.changed(pixels)
+            self._outline_search.note_change(self._diff.change_box)
         nothing_changed = changed is not None and len(changed) == 0
 
         if nothing_changed and not self._tracker.has_pending:
@@ -874,7 +882,9 @@ class WitnessSession:
                     for e in self.vspec.input_entries()
                     if e.rect.y2 - offset > 0 and e.rect.y - offset < pixels.shape[0]
                 ]
-                pof_obs = extract_pofs(pixels, input_rects=input_rects_frame)
+                pof_obs = extract_pofs(
+                    pixels, input_rects=input_rects_frame, outline_search=self._outline_search
+                )
                 if pof_obs.present:
                     for violation in check_pof_consistency(pof_obs, input_rects_frame):
                         self._record_violation(Violation("pof-consistency", violation))

@@ -77,7 +77,11 @@ class Rect:
         return Rect(self.x + dx, self.y + dy, self.w, self.h)
 
     def expanded(self, margin: int) -> "Rect":
-        """Grow on all sides by ``margin`` (clamped to stay positive-size)."""
+        """Grow on all sides by ``margin`` (a negative margin shrinks).
+
+        Not clamped: the result may reach past any frame, and shrinking
+        to a non-positive size raises ``ValueError``.
+        """
         return Rect(self.x - margin, self.y - margin, self.w + 2 * margin, self.h + 2 * margin)
 
     def as_tuple(self) -> tuple:
@@ -93,13 +97,11 @@ def bounding_rect(mask) -> Rect | None:
     return Rect(int(xs.min()), int(ys.min()), int(xs.max() - xs.min() + 1), int(ys.max() - ys.min() + 1))
 
 
-def component_boxes(mask, connectivity: int = 8) -> list[tuple]:
-    """Bounding boxes ``(y0, x0, y1, x1)`` (ends exclusive) of the
-    connected True-blobs in ``mask``, in label order: the raster order of
-    each blob's first pixel.
-
-    Plain tuples, so callers can filter hundreds of blobs by size before
-    building a :class:`Rect` for the few they keep.
+def label_components(mask, connectivity: int = 8) -> tuple:
+    """``(labels, boxes)`` of the connected True-blobs in ``mask``: the
+    label image (blob ``i`` of ``boxes`` carries label ``i + 1``) and
+    each blob's bounding box ``(y0, x0, y1, x1)`` (ends exclusive), in
+    label order: the raster order of each blob's first pixel.
     """
     from scipy import ndimage
 
@@ -108,16 +110,33 @@ def component_boxes(mask, connectivity: int = 8) -> list[tuple]:
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     structure = np.ones((3, 3), dtype=bool) if connectivity == 8 else None
     labels, count = ndimage.label(arr, structure=structure)
-    return [
+    boxes = [
         (ys.start, xs.start, ys.stop, xs.stop)
         for ys, xs in ndimage.find_objects(labels, max_label=count)
     ]
+    return labels, boxes
+
+
+def component_boxes(mask, connectivity: int = 8) -> list[tuple]:
+    """Bounding boxes ``(y0, x0, y1, x1)`` (ends exclusive) of the
+    connected True-blobs in ``mask``, in label order: the raster order of
+    each blob's first pixel.
+
+    Plain tuples, so callers can filter hundreds of blobs by size before
+    building a :class:`Rect` for the few they keep.
+    """
+    return label_components(mask, connectivity)[1]
 
 
 def box_rect(box: tuple) -> Rect:
     """The :class:`Rect` of a ``(y0, x0, y1, x1)`` box."""
     y0, x0, y1, x1 = box
     return Rect(int(x0), int(y0), int(x1 - x0), int(y1 - y0))
+
+
+def box_union(a: tuple, b: tuple) -> tuple:
+    """Bounding box of two ``(y0, x0, y1, x1)`` boxes."""
+    return (min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]))
 
 
 def connected_components(mask, connectivity: int = 8) -> list[Rect]:
@@ -151,12 +170,19 @@ def find_rectangles(
     for y0, x0, y1, x1 in component_boxes(arr):
         if x1 - x0 < min_width or y1 - y0 < min_height:
             continue
-        sub = arr[y0:y1, x0:x1]
-        fill = sub.mean()
-        if fill > max_fill:
-            continue
-        border = np.concatenate([sub[0, :], sub[-1, :], sub[:, 0], sub[:, -1]])
-        if border.mean() >= min_border_cover:
+        if is_hollow(arr[y0:y1, x0:x1], max_fill, min_border_cover):
             outlines.append(box_rect((y0, x0, y1, x1)))
     outlines.sort(key=lambda r: (r.y, r.x))
     return outlines
+
+
+def is_hollow(box_mask: np.ndarray, max_fill: float, min_border_cover: float) -> bool:
+    """:func:`find_rectangles`' test of one component's bounding box
+    (every True pixel in it, whichever blob it belongs to): mostly empty
+    inside, border rows and columns mostly covered."""
+    if box_mask.mean() > max_fill:
+        return False
+    border = np.concatenate(
+        [box_mask[0, :], box_mask[-1, :], box_mask[:, 0], box_mask[:, -1]]
+    )
+    return border.mean() >= min_border_cover

@@ -3,9 +3,12 @@
 Because vWitness screenshots frequently, unchanged UI does not need to be
 re-validated: only the regions that changed between two consecutive frames
 are passed to the CNN verifiers.  This module computes those regions.
-Past one pass over the two frames (the difference and its row/column
-extent), the work is confined to the changed area: a typed glyph costs a
-few hundred pixels of dilation and labelling, not a whole frame.
+Past one pass over the two rasters it is given (the difference and its
+row/column extent), the work is confined to the changed area: a typed
+glyph costs a few hundred pixels of dilation and labelling.  The session's
+:class:`~repro.core.caches.DifferentialDetector` hands it only the crop
+around what changed since the last full diff, so per sample not even
+that pass covers the whole frame.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ import numpy as np
 
 from repro.vision.components import Rect
 
-#: Manifest entry kinds.  ``scroll-v``/``scroll-h`` are the paper's two
-#: scrollable types; ``input`` covers free-text fields whose content is
-#: user-supplied; the stateful visual inputs carry per-state appearances.
+#: Manifest entry kinds.  ``scroll-v`` is a vertically scrolling list
+#: (the only scrollable the generator issues); ``input`` covers free-text
+#: fields whose content is user-supplied; the stateful visual inputs carry
+#: per-state appearances.
 ENTRY_KINDS = (
     "text",
     "image",
@@ -20,7 +21,6 @@ ENTRY_KINDS = (
     "select",
     "button",
     "scroll-v",
-    "scroll-h",
 )
 
 

@@ -82,6 +82,17 @@ class TestVSpecModel:
         with pytest.raises(ValueError):
             ManifestEntry(kind="hologram", rect=Rect(0, 0, 1, 1))
 
+    def test_horizontal_scroll_entry_rejected(self):
+        # Only vertically scrolling lists exist: a manifest (or a payload
+        # rebuilt into one) naming a horizontal scrollable is refused.
+        with pytest.raises(ValueError, match="scroll-h"):
+            ManifestEntry(kind="scroll-h", rect=Rect(0, 0, 1, 1))
+        spec = _tiny_vspec()
+        payload = vspec_to_payload(spec)
+        payload["entries"][1]["kind"] = "scroll-h"
+        with pytest.raises(ValueError, match="scroll-h"):
+            vspec_from_payload(payload, spec.expected)
+
     def test_nested_spec_scrolls_vertically_only(self):
         NestedSpec(axis="vertical", expected=np.zeros((8, 4)))
         with pytest.raises(ValueError, match="vertically"):
