@@ -2,8 +2,9 @@
 
 The witness's correctness story rests on invariants Python's type system
 cannot express: float32 end-to-end on the inference path, bit-identical
-engine-independent session fingerprints, lock-guarded shared state, and
-allocation-free frozen forwards.  Each was historically enforced by a
+engine-independent session fingerprints, lock-guarded shared state with
+a declared lock order, confined workspace buffers, and allocation-free
+frozen forwards.  Each was historically enforced by a
 human reading diffs (or by a 2460-frame soak finding the regression
 after the fact).  This package enforces them mechanically:
 
@@ -11,9 +12,10 @@ after the fact).  This package enforces them mechanically:
   module/symbol index (imports, classes, lock ownership, decorators,
   suppression pragmas);
 * :mod:`repro.analysis.checkers` runs pluggable rule sets over that
-  index (dtype discipline, determinism, lock discipline, hot-path
-  allocation, frozen lifecycle);
-* :mod:`repro.analysis.baseline` grandfathers justified findings;
+  index (dtype discipline, determinism, lock guard and order,
+  workspace-buffer escape, hot-path allocation, frozen lifecycle);
+* ``# witness-lint: allow[rule] -- why`` pragmas are the one way to make
+  an exception, one line at a time;
 * ``python -m repro.analysis`` is the CLI (text/JSON/GitHub output).
 
 This module is imported by production code (for :func:`hot_path`), so it

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.analysis.checkers.concurrency import ConcurrencyChecker
 from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.dtype import DtypeChecker
 from repro.analysis.checkers.escape import EscapeChecker
@@ -15,7 +14,6 @@ ALL_CHECKERS = (
     DtypeChecker,
     DeterminismChecker,
     LockChecker,
-    ConcurrencyChecker,
     EscapeChecker,
     HotPathChecker,
     LifecycleChecker,

@@ -18,16 +18,15 @@ Taint starts at ``Workspace.buf`` reservations and follows views
 (subscripts/slices, ``reshape``/``view``); ``.copy()`` launders it,
 which is exactly the documented way to keep a row.  Plain returns are
 *not* findings — returning a workspace view to a same-thread caller is
-how stages compose (``FrozenNet.forward(copy=False)``); the sanitizer
-twin covers the dynamic remainder (any cross-thread access, however the
-reference traveled).
+how stages compose (``FrozenNet.forward(copy=False)``).  At run time
+``_Arena.workspace`` raises on a checkout from any thread but the
+arena's creator, so a whole arena cannot change threads either.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.analysis import callgraph
 from repro.analysis.core import Checker, Finding, Rule
 
 #: Methods whose result is a view of (and as pooled as) their receiver.
@@ -62,9 +61,8 @@ class EscapeChecker(Checker):
     )
 
     def check(self, module, project) -> list:
-        graph = callgraph.get(project, self.config)
         findings = []
-        for fn in graph.functions_of(module):
+        for fn in module.functions.values():
             findings.extend(self._check_function(module, fn))
         return findings
 
@@ -109,7 +107,7 @@ class EscapeChecker(Checker):
                     line=node.lineno,
                     col=node.col_offset,
                     message=message,
-                    context=fn.info.qualname,
+                    context=fn.qualname,
                     line_text=module.line_text(node.lineno),
                 )
             )
@@ -169,7 +167,7 @@ class EscapeChecker(Checker):
 
         def visit(node) -> None:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node is not fn.info.node:
+                if node is not fn.node:
                     closures[node.name] = self._tainted_names_in(node, tainted)
                     return
             if isinstance(node, ast.Assign):
@@ -194,6 +192,6 @@ class EscapeChecker(Checker):
             for child in ast.iter_child_nodes(node):
                 visit(child)
 
-        for stmt in fn.info.node.body:
+        for stmt in fn.node.body:
             visit(stmt)
         return findings

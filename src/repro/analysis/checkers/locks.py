@@ -1,4 +1,4 @@
-"""Lock discipline: a class that owns a lock must use it on every write.
+"""Lock discipline: guarded writes and a declared acquisition order.
 
 PR 3's ``SessionRegistry`` race was exactly this shape: the class owned
 ``self._lock``, ``register()`` updated ``self._total_opened`` and
@@ -14,6 +14,18 @@ by hand.  The ``lock-guard`` rule makes the contract mechanical:
 Caller-holds-lock protocols (the matchers' ``infer_lock``) are real and
 legitimate — they carry an ``allow[lock-guard]`` pragma naming the
 protocol, so the exception is visible and audited rather than silent.
+
+The ``lock-order`` rule keeps the lock hierarchy declared:
+
+    When one function acquires lock B lexically inside ``with A:``
+    (``with A, B:`` included), the pair ``(A, B)`` must be in
+    ``AnalysisConfig.declared_lock_order``.
+
+A lock is a lock attribute of ``self`` (``ClassInfo.lock_attrs``) or a
+lock global of the same module (``ModuleInfo.lock_globals``), named by
+the ledger's node ids (``module.Class.attr`` / ``module.NAME``).  The
+rule is intraprocedural: a nesting realized through a call is declared
+in the ledger by hand (CONTRIBUTING "Lock discipline").
 """
 
 from __future__ import annotations
@@ -100,6 +112,20 @@ class LockChecker(Checker):
                 "protocols add # witness-lint: allow[lock-guard] -- <protocol>"
             ),
         ),
+        Rule(
+            id="lock-order",
+            summary="lock nested lexically inside another without a ledger entry",
+            incident=(
+                "the retired cross-thread runtime nested its batcher condition "
+                "over registry and metrics locks; one function taking the same "
+                "two locks the other way round is an AB/BA deadlock under load"
+            ),
+            hint=(
+                "narrow one critical section so the locks no longer nest, or "
+                "audit the order and add the pair to "
+                "AnalysisConfig.declared_lock_order (see CONTRIBUTING)"
+            ),
+        ),
     )
 
     def check(self, module, project) -> list:
@@ -108,6 +134,66 @@ class LockChecker(Checker):
             if not class_info.lock_attrs:
                 continue
             findings.extend(self._check_class(module, class_info))
+        findings.extend(self._check_order(module))
+        return findings
+
+    # -- lock-order ------------------------------------------------------------
+
+    def _check_order(self, module) -> list:
+        declared = set(self.config.declared_lock_order)
+        findings = []
+        for fn in module.functions.values():
+            class_info = module.enclosing_class(fn.node)
+
+            def lock_id(expr):
+                if isinstance(expr, ast.Name) and expr.id in module.lock_globals:
+                    return f"{module.module}.{expr.id}"
+                if (
+                    class_info is not None
+                    and isinstance(expr, ast.Attribute)
+                    and isinstance(expr.value, ast.Name)
+                    and expr.value.id == "self"
+                    and expr.attr in class_info.lock_attrs
+                ):
+                    return f"{module.module}.{class_info.qualname}.{expr.attr}"
+                return None
+
+            def visit(node, held: tuple) -> None:
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+                ):
+                    return  # its own scope, walked on its own turn
+                if isinstance(node, (ast.With, ast.AsyncWith)):
+                    for item in node.items:
+                        lock = lock_id(item.context_expr)
+                        if lock is None:
+                            continue
+                        outer = [h for h in held if h != lock and (h, lock) not in declared]
+                        if outer:
+                            findings.append(
+                                Finding(
+                                    rule="lock-order",
+                                    path=module.path,
+                                    line=item.context_expr.lineno,
+                                    col=item.context_expr.col_offset,
+                                    message=(
+                                        f"acquires {lock} while holding "
+                                        f"{', '.join(outer)} — an order the "
+                                        "declared lock ledger does not list"
+                                    ),
+                                    context=fn.qualname,
+                                    line_text=module.line_text(item.context_expr.lineno),
+                                )
+                            )
+                        held = held + (lock,)
+                    for stmt in node.body:
+                        visit(stmt, held)
+                    return
+                for child in ast.iter_child_nodes(node):
+                    visit(child, held)
+
+            for stmt in fn.node.body:
+                visit(stmt, ())
         return findings
 
     def _check_class(self, module, class_info) -> list:

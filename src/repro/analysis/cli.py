@@ -1,7 +1,7 @@
 """``python -m repro.analysis`` — the witness-lint command line.
 
-Exit codes: 0 clean (baselined/suppressed findings don't fail the run),
-1 new findings, 2 usage error.  With no path arguments the scanned tree
+Exit codes: 0 clean (pragma-suppressed findings don't fail the run),
+1 findings, 2 usage error.  With no path arguments the scanned tree
 defaults to the installed ``repro`` package sources (so CI and local
 runs agree without spelling the path).
 """
@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 
-from repro.analysis.baseline import Baseline, discover_baseline
 from repro.analysis.core import AnalysisConfig
 from repro.analysis.report import FORMATS, render_rules
 from repro.analysis.runner import run_analysis
@@ -30,7 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "witness-lint: AST invariant checks for dtype, determinism, "
-            "lock, hot-path-allocation and frozen-lifecycle discipline"
+            "lock guard and order, hot-path allocation, workspace-buffer "
+            "escape and frozen-lifecycle discipline"
         ),
     )
     parser.add_argument(
@@ -46,21 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline file (default: witness-lint-baseline.json discovered upward)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from current findings (keeps old justifications)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report the full debt)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog (with incident lineage) and exit",
@@ -70,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULE[,RULE...]",
         help="run only these rule ids (comma-separated), e.g. "
-        "--only conc-lock-cycle,conc-escape",
+        "--only lock-order,conc-escape",
     )
     parser.add_argument(
         "--paths",
@@ -104,27 +89,11 @@ def main(argv=None) -> int:
             print("error: --only given but no rule ids parsed", file=sys.stderr)
             return 2
 
-    baseline = Baseline.empty()
-    baseline_path = args.baseline
-    if not args.no_baseline:
-        if baseline_path is None:
-            baseline_path = discover_baseline(paths[0])
-        if baseline_path is not None:
-            baseline = Baseline.load(baseline_path)
-
     try:
-        result = run_analysis(
-            paths, config=AnalysisConfig(), baseline=baseline, only=only
-        )
+        result = run_analysis(paths, config=AnalysisConfig(), only=only)
     except ValueError as exc:  # unknown --only rule id
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.update_baseline:
-        fresh = Baseline.from_findings(result.findings + result.baselined, previous=baseline)
-        out_path = fresh.save(baseline_path or args.baseline)
-        print(f"baseline rewritten: {out_path} ({len(fresh.entries)} entries)")
-        return 0
 
     print(FORMATS[args.format](result))
     return 0 if result.clean else 1

@@ -38,10 +38,9 @@ class Finding:
     col: int  # 0-indexed (ast convention)
     message: str
     #: Dotted name of the enclosing scope (``Class.method`` or function
-    #: name), ``"<module>"`` at module level.  Baseline matching keys on
-    #: it so entries survive unrelated line drift.
+    #: name), ``"<module>"`` at module level.
     context: str = "<module>"
-    #: The stripped source line, for reports and baseline matching.
+    #: The stripped source line, for reports.
     line_text: str = ""
 
     def location(self) -> str:
@@ -71,8 +70,8 @@ class Checker:
         """Return :class:`Finding` objects for ``module``.
 
         ``module`` is a :class:`repro.analysis.resolve.ModuleInfo`;
-        ``project`` the :class:`repro.analysis.resolve.Project` giving
-        cross-module context (class index, lock owners).
+        ``project`` the :class:`repro.analysis.resolve.Project` holding
+        every resolved module of the run.
         """
         raise NotImplementedError
 
@@ -128,25 +127,16 @@ HOTPATH_SCOPE = (
 #: from *anywhere* resurrects stale weights).
 LIFECYCLE_SCOPE = ("repro",)
 
-#: Interprocedural concurrency rules (lock-order cycles, blocking under
-#: a held lock) apply tree-wide: the lock graph spans packages — the
-#: zoo's registry lock nests over the frozen-twin lock — so no package
-#: is exempt.
-CONC_SCOPE = ("repro",)
-
 #: Thread-confinement escape discipline: everywhere frozen-engine
 #: workspace buffers may circulate.
 ESCAPE_SCOPE = ("repro.core", "repro.nn", "repro.vision")
 
-#: The audited lock-order ledger (CONTRIBUTING "lock discipline").  The
-#: call-graph pass infers most ordering edges; orderings it cannot see —
-#: lock objects aliased across classes (MetricsRegistry hands its
-#: ``_data_lock`` to every histogram, so histogram acquisitions are
-#: ``_data_lock`` acquisitions at run time), chains through stored
-#: callables — are declared here so they join the static model the
-#: sanitizer cross-checks.  Node ids follow
-#: :mod:`repro.analysis.callgraph` (``module.Class.attr`` /
-#: ``module.NAME``).
+#: The audited lock-order ledger (CONTRIBUTING "Lock discipline"): every
+#: ``(outer, inner)`` pair of locks allowed to nest.  The ``lock-order``
+#: rule fires on a lexical nesting missing from it; a nesting realized
+#: through a call (both entries below) is declared here by hand.  Node
+#: ids are ``module.Class.attr`` for lock attributes and ``module.NAME``
+#: for lock globals.
 DECLARED_LOCK_ORDER = (
     # Span histograms: registration takes _registry_lock, the histogram
     # write takes the shared _data_lock.  Audited one-way.
@@ -172,7 +162,6 @@ class AnalysisConfig:
     lock_scope: tuple = LOCK_SCOPE
     hotpath_scope: tuple = HOTPATH_SCOPE
     lifecycle_scope: tuple = LIFECYCLE_SCOPE
-    conc_scope: tuple = CONC_SCOPE
     escape_scope: tuple = ESCAPE_SCOPE
     declared_lock_order: tuple = DECLARED_LOCK_ORDER
     hot_functions: tuple = (
@@ -202,7 +191,6 @@ class AnalysisConfig:
             lock_scope=remap(self.lock_scope),
             hotpath_scope=remap(self.hotpath_scope),
             lifecycle_scope=remap(self.lifecycle_scope),
-            conc_scope=remap(self.conc_scope),
             escape_scope=remap(self.escape_scope),
             declared_lock_order=tuple(
                 (remap_name(a), remap_name(b)) for a, b in self.declared_lock_order

@@ -30,19 +30,10 @@ def render_text(result) -> str:
         lines.append("")
     summary = (
         f"{result.modules_scanned} module(s) scanned, "
-        f"{len(result.findings)} new finding(s), "
-        f"{len(result.baselined)} baselined, "
+        f"{len(result.findings)} finding(s), "
         f"{len(result.suppressed)} pragma-suppressed"
     )
     lines.append(("FAIL  " if result.findings else "OK  ") + summary)
-    if result.stale_baseline:
-        lines.append(
-            f"note: {len(result.stale_baseline)} stale baseline entr"
-            f"{'y' if len(result.stale_baseline) == 1 else 'ies'} matched "
-            "nothing (fixed code? remove them):"
-        )
-        for entry in result.stale_baseline:
-            lines.append(f"  - [{entry.rule}] {entry.file} ({entry.context})")
     return "\n".join(lines)
 
 
@@ -62,12 +53,10 @@ def render_json(result) -> str:
         "clean": result.clean,
         "modules_scanned": result.modules_scanned,
         "findings": [finding_json(f) for f in result.findings],
-        "baselined": [finding_json(f) for f in result.baselined],
         "suppressed": [
             {**finding_json(f), "justification": pragma.justification}
             for f, pragma in result.suppressed
         ],
-        "stale_baseline": [entry.to_json() for entry in result.stale_baseline],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -89,14 +78,9 @@ def render_github(result) -> str:
             f"::error file={_escape_prop(f.path)},line={f.line},col={f.col + 1},"
             f"title={_escape_prop(f'witness-lint {f.rule}')}::{_escape_data(f.message)}"
         )
-    for entry in result.stale_baseline:
-        lines.append(
-            f"::warning title=witness-lint stale baseline::"
-            f"{_escape_data(f'[{entry.rule}] {entry.file} ({entry.context}) matched nothing')}"
-        )
     lines.append(
-        f"witness-lint: {len(result.findings)} new, {len(result.baselined)} "
-        f"baselined, {len(result.suppressed)} suppressed over "
+        f"witness-lint: {len(result.findings)} findings, "
+        f"{len(result.suppressed)} suppressed over "
         f"{result.modules_scanned} modules"
     )
     return "\n".join(lines)

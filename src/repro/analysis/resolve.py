@@ -376,17 +376,3 @@ class Project:
                 display = path
             modules.append(resolve_module(path, display_path=display))
         return cls(modules=modules, root=root)
-
-    def module_named(self, name: str) -> ModuleInfo | None:
-        for module in self.modules:
-            if module.module == name:
-                return module
-        return None
-
-    def class_index(self) -> dict:
-        """``module.Class`` qualname -> :class:`ClassInfo`, project-wide."""
-        index = {}
-        for module in self.modules:
-            for qual, info in module.classes.items():
-                index[f"{module.module}.{qual}"] = info
-        return index

@@ -7,15 +7,13 @@ Order of operations:
 2. run each checker over each module *in its configured scope*;
 3. drop findings covered by an ``allow[rule]`` pragma on their line
    (each pragma records whether it was used, so stale pragmas are
-   reportable);
-4. split what remains against the baseline (grandfathered vs new).
+   reportable).  Pragmas are the one exception mechanism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.checkers import ALL_CHECKERS
 from repro.analysis.core import AnalysisConfig, in_scope
 from repro.analysis.resolve import Project
@@ -26,7 +24,6 @@ def _scope_for(checker, config: AnalysisConfig) -> tuple:
         "dtype": config.dtype_scope,
         "determinism": config.determinism_scope,
         "locks": config.lock_scope,
-        "concurrency": config.conc_scope,
         "escape": config.escape_scope,
         "hotpath": config.hotpath_scope,
         "lifecycle": config.lifecycle_scope,
@@ -37,10 +34,8 @@ def _scope_for(checker, config: AnalysisConfig) -> tuple:
 class AnalysisResult:
     """Everything one run produced, pre-split for reporting."""
 
-    findings: list  # new, non-suppressed, non-baselined (the failures)
-    baselined: list  # matched a baseline entry
+    findings: list  # non-suppressed (the failures)
     suppressed: list  # (finding, pragma) pairs silenced inline
-    stale_baseline: list  # baseline entries nothing matched
     modules_scanned: int = 0
     project: object = None
 
@@ -52,7 +47,6 @@ class AnalysisResult:
 def run_analysis(
     paths,
     config: AnalysisConfig | None = None,
-    baseline: Baseline | None = None,
     checkers=None,
     only=None,
 ) -> AnalysisResult:
@@ -64,7 +58,6 @@ def run_analysis(
     Unknown rule ids raise ``ValueError`` so a typo fails loud.
     """
     config = config or AnalysisConfig()
-    baseline = baseline or Baseline.empty()
     project = Project.from_paths(paths)
     selected = list(checkers or ALL_CHECKERS)
     only_rules = set(only) if only else None
@@ -109,12 +102,9 @@ def run_analysis(
         else:
             findings.append(finding)
 
-    new, grandfathered = baseline.split(findings)
     return AnalysisResult(
-        findings=new,
-        baselined=grandfathered,
+        findings=findings,
         suppressed=suppressed,
-        stale_baseline=baseline.stale(),
         modules_scanned=len(project.modules),
         project=project,
     )

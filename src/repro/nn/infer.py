@@ -86,12 +86,6 @@ INFER_DTYPE = np.float32
 #: odd shapes cannot grow memory without bound.
 DEFAULT_MAX_SHAPES = 8
 
-#: witness-san seam (see :mod:`repro.analysis.sanitizer`): the active
-#: sanitizer state, or ``None`` when disarmed — arena checkouts pay one
-#: ``is None`` test, the same disarmed-seam pattern as ``obs.NULL_SPAN``.
-_SAN = None
-
-
 class Workspace:
     """Preallocated scratch buffers for one input shape.
 
@@ -124,7 +118,12 @@ class Workspace:
 
 
 class _Arena:
-    """One thread's LRU of :class:`Workspace` objects keyed by input shape."""
+    """One thread's LRU of :class:`Workspace` objects keyed by input shape.
+
+    Arenas are thread-confined: the creating thread owns one, and a
+    checkout from any other thread raises rather than hand out buffers
+    another thread may be writing.
+    """
 
     __slots__ = ("max_shapes", "_workspaces", "hits", "misses", "evictions", "thread", "owner_ident")
 
@@ -135,14 +134,14 @@ class _Arena:
         self.misses = 0
         self.evictions = 0
         self.thread = threading.current_thread().name
-        #: witness-san ownership tag — pinned to the creating thread by
-        #: ``_ArenaSet.arena()`` (arenas are thread-local and never
-        #: migrate).
-        self.owner_ident = None
+        self.owner_ident = threading.get_ident()
 
     def workspace(self, shape: tuple) -> Workspace:
-        if _SAN is not None:
-            _SAN.note_pool_use(self, "workspace-arena")
+        if threading.get_ident() != self.owner_ident:
+            raise RuntimeError(
+                f"workspace arena of thread {self.thread!r} checked out from "
+                f"{threading.current_thread().name!r}: arenas are thread-confined"
+            )
         ws = self._workspaces.get(shape)
         if ws is not None:
             self._workspaces.move_to_end(shape)
@@ -187,9 +186,6 @@ class _ArenaSet:
         arena = getattr(self._tls, "arena", None)
         if arena is None:
             arena = _Arena(self.max_shapes)
-            # Thread-local by construction: pin witness-san ownership at
-            # creation so any foreign checkout is a violation outright.
-            arena.owner_ident = threading.get_ident()
             self._tls.arena = arena
             with self._lock:
                 self._entries = [(t, a) for t, a in self._entries if t.is_alive()]

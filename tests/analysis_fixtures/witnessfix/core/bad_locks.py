@@ -1,4 +1,4 @@
-"""Fixture: the PR 3 SessionRegistry torn-write shape."""
+"""Fixture: the SessionRegistry torn-write shape."""
 
 import threading
 

@@ -12,10 +12,10 @@ detection, off-by-one location) fails loudly.
 from __future__ import annotations
 
 import pathlib
+from dataclasses import replace
 
 import pytest
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.checkers import all_rules
 from repro.analysis.core import AnalysisConfig
 from repro.analysis.runner import run_analysis
@@ -26,7 +26,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "analysis_fixtures" / "witn
 @pytest.fixture(scope="module")
 def result():
     config = AnalysisConfig().scoped_to("witnessfix")
-    return run_analysis([str(FIXTURES)], config=config, baseline=Baseline.empty())
+    return run_analysis([str(FIXTURES)], config=config)
 
 
 def findings_for(result, filename):
@@ -36,8 +36,8 @@ def findings_for(result, filename):
 
 
 def test_fixture_tree_resolves(result):
-    # 9 fixture modules + 5 __init__.py — nothing skipped, nothing doubled.
-    assert result.modules_scanned == 14
+    # 10 fixture modules + 5 __init__.py — nothing skipped, nothing doubled.
+    assert result.modules_scanned == 15
 
 
 def test_dtype_checker_flags_pr4_shapes(result):
@@ -62,31 +62,38 @@ def test_determinism_checker_flags_pr5_shapes(result):
 
 
 def test_lock_checker_flags_pr3_registry_race(result):
-    assert findings_for(result, "runtime/bad_locks.py") == [
+    assert findings_for(result, "core/bad_locks.py") == [
         (15, "lock-guard"),  # self._total_opened += 1 outside the lock
         (18, "lock-guard"),  # self._sessions = {} outside the lock
     ]
 
 
-def test_concurrency_checker_flags_cycle_and_blocking(result):
-    assert findings_for(result, "runtime/bad_conc.py") == [
-        (12, "conc-lock-cycle"),           # ab(): B under A
-        (18, "conc-lock-cycle"),           # ba(): A under B — the other half
-        (29, "conc-lock-cycle"),           # ab_via_call(): B via _take_b()
-        (40, "conc-blocking-under-lock"),  # model forward under self._lock
-        (44, "conc-blocking-under-lock"),  # time.sleep under self._lock
-        (51, "conc-blocking-under-lock"),  # sleep reached via self._drain()
+def test_lock_order_checker_flags_undeclared_nesting(result):
+    assert findings_for(result, "core/bad_lock_order.py") == [
+        (11, "lock-order"),  # ab(): B under A
+        (17, "lock-order"),  # ba(): A under B — the other half
+        (22, "lock-order"),  # with _A, _B: in one statement
+        (33, "lock-order"),  # self._stats_lock under self._lock
     ]
 
 
-def test_cycle_message_names_the_call_chain(result):
-    via = [
-        f
-        for f in result.findings
-        if f.rule == "conc-lock-cycle" and f.line == 29
+def test_lock_order_message_names_both_locks(result):
+    [finding] = [
+        f for f in result.findings if f.path.endswith("core/bad_lock_order.py") and f.line == 33
     ]
-    assert len(via) == 1
-    assert "_take_b" in via[0].message  # interprocedural edge shows its chain
+    assert "witnessfix.core.bad_lock_order.Matcher._stats_lock while holding" in finding.message
+    assert finding.message.endswith(
+        "witnessfix.core.bad_lock_order.Matcher._lock — an order the declared "
+        "lock ledger does not list"
+    )
+
+
+def test_declared_nesting_is_silent_only_through_the_ledger():
+    # witnessfix/obs/metrics.py nests _registry_lock -> _data_lock, the
+    # pair the re-rooted ledger declares; without the ledger it fires.
+    config = replace(AnalysisConfig().scoped_to("witnessfix"), declared_lock_order=())
+    res = run_analysis([str(FIXTURES / "obs" / "metrics.py")], config=config)
+    assert [(f.line, f.rule) for f in res.findings] == [(14, "lock-order")]
 
 
 def test_escape_checker_flags_stash_and_handoff(result):
@@ -141,8 +148,10 @@ def test_known_good_twins_stay_silent(result):
         "workspace_forward",
         "cold_helper",
         "persist_training_model_ok",
-        "Matcher.wait_own_cond_ok",
-        "Matcher.forward_outside_lock_ok",
+        "Matcher.sequential_ok",
+        "Matcher.closure_ok",
+        "Matcher.closure_ok.later",
+        "MetricsRegistry.histogram",
         "Transport.local_use_ok",
         "Transport.copy_ok",
         "Transport.own_pool_ok",
@@ -177,14 +186,13 @@ def test_only_filter_restricts_rules():
     res = run_analysis(
         [str(FIXTURES)],
         config=config,
-        baseline=Baseline.empty(),
-        only=["conc-lock-cycle", "conc-escape"],
+        only=["lock-order", "conc-escape"],
     )
     fired = {f.rule for f in res.findings}
-    assert fired == {"conc-lock-cycle", "conc-escape"}
-    # The concurrency checker ran (it owns conc-lock-cycle) but its other
-    # rule's findings were dropped post-check.
-    assert not any(f.rule == "conc-blocking-under-lock" for f in res.findings)
+    assert fired == {"lock-order", "conc-escape"}
+    # The lock checker ran (it owns lock-order) but its other rule's
+    # findings were dropped post-check.
+    assert not any(f.rule == "lock-guard" for f in res.findings)
 
 
 def test_only_filter_rejects_unknown_rule():
@@ -193,7 +201,6 @@ def test_only_filter_rejects_unknown_rule():
         run_analysis(
             [str(FIXTURES)],
             config=config,
-            baseline=Baseline.empty(),
             only=["conc-typo"],
         )
 
@@ -202,17 +209,13 @@ def test_paths_restrict_the_scan():
     config = AnalysisConfig().scoped_to("witnessfix")
     res = run_analysis(
         [
-            str(FIXTURES / "runtime" / "bad_conc.py"),
+            str(FIXTURES / "core" / "bad_lock_order.py"),
             str(FIXTURES / "core" / "__init__.py"),
         ],
         config=config,
-        baseline=Baseline.empty(),
     )
     assert res.modules_scanned == 2
-    assert {f.rule for f in res.findings} == {
-        "conc-lock-cycle",
-        "conc-blocking-under-lock",
-    }
+    assert {f.rule for f in res.findings} == {"lock-order"}
 
 
 def test_cli_only_and_paths_flags():
@@ -223,11 +226,11 @@ def test_cli_only_and_paths_flags():
     repo_root = FIXTURES.parents[2]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(repo_root / "src")
-    base = [sys.executable, "-m", "repro.analysis", "--no-baseline"]
+    base = [sys.executable, "-m", "repro.analysis"]
     src_tree = str(repo_root / "src" / "repro")
 
     ok = subprocess.run(
-        base + ["--only", "conc-lock-cycle,conc-escape", "--paths", src_tree],
+        base + ["--only", "lock-order,conc-escape", "--paths", src_tree],
         env=env,
         capture_output=True,
         text=True,

@@ -2,12 +2,12 @@
 
 Three invariants the repo commits to:
 
-* ``python -m repro.analysis src/repro`` exits 0 — no new findings
-  beyond the checked-in baseline;
-* every baseline entry carries a real justification (no ``TODO``) and
-  still matches a live finding (no stale debt entries);
-* every inline ``allow`` pragma actually fires — a pragma whose
-  violation was fixed must be deleted with it.
+* ``python -m repro.analysis src/repro`` exits 0 — no findings; a
+  justified ``allow`` pragma is the one way to make an exception;
+* every inline ``allow`` pragma carries a justification and actually
+  fires — a pragma whose violation was fixed must be deleted with it;
+* the declared lock ledger is consistent: no pair appears in both
+  orders, and every node it names is a lock in the tree.
 """
 
 from __future__ import annotations
@@ -19,43 +19,38 @@ import sys
 
 import pytest
 
-from repro.analysis.baseline import Baseline
+from repro.analysis.core import DECLARED_LOCK_ORDER
 from repro.analysis.runner import run_analysis
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC_TREE = REPO_ROOT / "src" / "repro"
-BASELINE_PATH = REPO_ROOT / "witness-lint-baseline.json"
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_analysis([str(SRC_TREE)], baseline=Baseline.load(str(BASELINE_PATH)))
+    return run_analysis([str(SRC_TREE)])
 
 
 def test_tree_is_clean(result):
     lines = [f"{f.location()} [{f.rule}] {f.message}" for f in result.findings]
-    assert result.clean, "new witness-lint findings:\n" + "\n".join(lines)
+    assert result.clean, "witness-lint findings:\n" + "\n".join(lines)
 
 
-def test_baseline_entries_are_justified():
-    baseline = Baseline.load(str(BASELINE_PATH))
-    bad = baseline.unjustified()
-    assert not bad, f"unjustified baseline entries: {[e.key() for e in bad]}"
+def test_lock_ledger_has_no_reversed_pair():
+    pairs = set(DECLARED_LOCK_ORDER)
+    assert len(pairs) == len(DECLARED_LOCK_ORDER), "duplicate ledger entries"
+    contradictions = sorted((a, b) for a, b in pairs if a == b or (b, a) in pairs)
+    assert not contradictions, f"ledger pairs declared both ways: {contradictions}"
 
 
-def test_baseline_is_empty():
-    # PR 7's zero-copy plan transport retired the last grandfathered
-    # findings; from here on the tree carries no lint debt — new findings
-    # must be fixed (or pragma'd with a justification), never baselined.
-    baseline = Baseline.load(str(BASELINE_PATH))
-    assert not baseline.entries, (
-        f"witness-lint baseline regained entries: {[e.key() for e in baseline.entries]}"
-    )
-
-
-def test_baseline_has_no_stale_entries(result):
-    stale = result.stale_baseline
-    assert not stale, f"baseline entries matching nothing: {[e.key() for e in stale]}"
+def test_lock_ledger_names_live_locks(result):
+    live = set()
+    for module in result.project.modules:
+        live.update(f"{module.module}.{name}" for name in module.lock_globals)
+        for qual, info in module.classes.items():
+            live.update(f"{module.module}.{qual}.{attr}" for attr in info.lock_attrs)
+    named = {node for pair in DECLARED_LOCK_ORDER for node in pair}
+    assert named <= live, f"ledger names no such lock: {sorted(named - live)}"
 
 
 def _linted_modules(result):

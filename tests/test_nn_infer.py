@@ -9,8 +9,8 @@ Covers the PR-4 tentpole guarantees:
   verdicts on frame-style unit inputs vs the training forward
   ``model.predict(..., frozen=False)`` on the same rows);
 * workspace arenas: shape-keyed reuse (repeated shapes allocate
-  nothing), thread confinement (one arena per thread), LRU eviction
-  under a shape storm;
+  nothing), thread confinement (one arena per thread, a checkout from
+  any other thread raises), LRU eviction under a shape storm;
 * compile-time constant folding of affine chains;
 * serialize/zoo agreement on when freezing happens.
 """
@@ -28,6 +28,8 @@ from repro.nn.infer import (
     FrozenMatcher,
     FrozenNet,
     FrozenPairMatcher,
+    _Arena,
+    _ArenaSet,
     freeze,
     frozen_twin,
     invalidate_frozen,
@@ -324,6 +326,39 @@ class TestWorkspaceArena:
         assert len(obs_arenas) >= 4
         threads = [a["thread"] for a in obs_arenas]
         assert len(threads) == len(set(threads))
+
+    def test_arena_is_pinned_to_its_thread(self):
+        arenas = _ArenaSet(4)
+        box = {}
+
+        def create():
+            box["arena"] = arenas.arena()
+            box["ident"] = threading.get_ident()
+
+        t = threading.Thread(target=create)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert box["arena"].owner_ident == box["ident"]
+        assert box["ident"] != threading.get_ident()
+
+    def test_foreign_checkout_raises(self):
+        arenas = _ArenaSet(4)
+        box = {}
+        t = threading.Thread(target=lambda: box.setdefault("arena", arenas.arena()))
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        with pytest.raises(RuntimeError, match="thread-confined"):
+            box["arena"].workspace((1, 1, 8, 8))
+        assert box["arena"].stats()["misses"] == 0
+
+    def test_same_thread_checkout_works(self):
+        arena = _Arena(4)  # built outside _ArenaSet: owned by its creator
+        assert arena.owner_ident == threading.get_ident()
+        ws = arena.workspace((1, 1, 8, 8))
+        assert arena.workspace((1, 1, 8, 8)) is ws
+        assert (arena.hits, arena.misses) == (1, 1)
 
 
 class TestConstantFolding:
