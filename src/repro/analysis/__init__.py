@@ -31,9 +31,9 @@ def hot_path(fn):
     """Mark ``fn`` as an allocation-free hot path (a no-op at runtime).
 
     witness-lint's ``hot-alloc`` rule flags array-allocating calls inside
-    any function carrying this decorator: the frozen engine's workspace
-    arenas exist so that steady-state forwards allocate nothing, and this
-    marker is how new code opts into that guarantee being *checked*
+    any function carrying this decorator: the frozen engine's grow-only
+    workspaces exist so that steady-state forwards allocate nothing, and
+    this marker is how new code opts into that guarantee being *checked*
     rather than hoped for.
     """
     fn.__witness_hot_path__ = True

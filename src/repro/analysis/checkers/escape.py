@@ -1,11 +1,12 @@
 """Thread-confinement escape analysis for workspace buffers.
 
-PR 4's ``infer.Workspace`` arenas hand out *views into thread-owned
-resident memory*: a reserved buffer is valid for the current forward on
-the current thread and is overwritten by the next forward of that
-shape.  CONTRIBUTING states the rule in prose ("workspace buffers are
-thread-confined, no cross-call refs"); ``conc-escape`` makes the two
-statically-decidable shapes mechanical:
+A frozen net's ``infer.Workspace`` (one per net and thread, grow-only)
+hands out *views into thread-owned resident memory*: a reserved buffer
+is valid for the current forward on the current thread and is
+overwritten by the next forward on that thread.  CONTRIBUTING states
+the rule in prose ("workspace buffers are thread-confined, no
+cross-call refs"); ``conc-escape`` makes the two statically-decidable
+shapes mechanical:
 
 * a pooled row (or a view of one) **stashed on** ``self`` — the object
   outlives the frame, so the stashed array silently mutates under it on
@@ -19,8 +20,8 @@ Taint starts at ``Workspace.buf`` reservations and follows views
 which is exactly the documented way to keep a row.  Plain returns are
 *not* findings — returning a workspace view to a same-thread caller is
 how stages compose (``FrozenNet.forward(copy=False)``).  At run time
-``_Arena.workspace`` raises on a checkout from any thread but the
-arena's creator, so a whole arena cannot change threads either.
+``Workspace.buf`` raises when called from any thread but the
+workspace's creator, so a whole workspace cannot change threads either.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ class EscapeChecker(Checker):
             id="conc-escape",
             summary="pooled buffer row escapes its owning frame or thread",
             incident=(
-                "PR 4's workspace arenas reuse backing memory every "
+                "PR 4's frozen-engine workspaces reuse backing memory every "
                 "forward; the confinement rule ('no cross-call refs, "
-                "arenas are thread-confined') lived only in CONTRIBUTING "
+                "workspaces are thread-confined') lived only in CONTRIBUTING "
                 "prose — one stashed buffer means results computed over "
                 "a later forward's activations"
             ),
@@ -55,7 +56,7 @@ class EscapeChecker(Checker):
                 "don't keep workspace buffers: .copy() the data if it "
                 "must outlive the call, and never hand a workspace view "
                 "to another thread (reserve from the receiving thread's "
-                "own arena instead)"
+                "own workspace instead)"
             ),
         ),
     )
@@ -77,7 +78,7 @@ class EscapeChecker(Checker):
         if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
             func = expr.func
             if func.attr == "buf":
-                return "row"  # Workspace.buf — the arena reservation
+                return "row"  # Workspace.buf — the workspace reservation
             if func.attr in _VIEW_METHODS:
                 return self._taint_of(func.value, tainted)
         return None

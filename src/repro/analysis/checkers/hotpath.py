@@ -1,11 +1,11 @@
 """Hot-path allocation discipline: frozen forwards allocate nothing.
 
-PR 4's frozen engine gets its speed from per-shape :class:`Workspace`
-arenas — every scratch buffer is allocated once per ``(net, thread,
-shape)`` and reused forever.  That guarantee decays one convenience
-``np.zeros`` at a time, and nothing at runtime notices (the forward
-still returns the right numbers, just slower and GC-churnier).  The
-``hot-alloc`` rule pins it:
+PR 4's frozen engine gets its speed from reused scratch: each net keeps
+one grow-only :class:`Workspace` per thread, so once a thread has
+forwarded its largest batch every later forward reuses the same buffers.
+That guarantee decays one convenience ``np.zeros`` at a time, and
+nothing at runtime notices (the forward still returns the right
+numbers, just slower and GC-churnier).  The ``hot-alloc`` rule pins it:
 
     Inside any function carrying ``@repro.analysis.hot_path`` (or pinned
     by config — the frozen stage executors and the resampler),
@@ -14,9 +14,10 @@ still returns the right numbers, just slower and GC-churnier).  The
     ``.astype()``), concatenation builders, and whole-array ufunc-style
     ops *without* an ``out=`` target.
 
-The designated allocation points (``Workspace.buf``'s one-time
-``np.zeros``, the single documented result copy of a forward) carry
-``allow[hot-alloc]`` pragmas naming their justification.
+The designated allocation points are ``Workspace.buf`` (not a hot path:
+it allocates only when a batch outgrows its buffer) and the single
+documented result copy of a forward, which carries an
+``allow[hot-alloc]`` pragma naming its justification.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ class HotPathChecker(Checker):
             id="hot-alloc",
             summary="array allocation inside an allocation-free hot path",
             incident=(
-                "PR 4: frozen forwards are allocation-free via per-shape "
-                "Workspace arenas; a stray constructor silently re-introduces "
+                "PR 4: frozen forwards are allocation-free via grow-only "
+                "Workspace buffers; a stray constructor silently re-introduces "
                 "per-call allocation and GC churn on the hottest loop"
             ),
             hint=(

@@ -106,8 +106,8 @@ DETERMINISM_SCOPE = (
 #: claiming its shared state is guarded.
 LOCK_SCOPE = ("repro",)
 
-#: Hot-path allocation discipline: the frozen engine, whose workspace
-#: arenas promise an allocation-free steady state, and any function
+#: Hot-path allocation discipline: the frozen engine, whose grow-only
+#: workspaces promise an allocation-free steady state, and any function
 #: decorated ``@hot_path`` in the core and vision layers.
 #: ``repro.obs`` joins for the tracer fast path: ``maybe_span`` and
 #: ``SpanTracer.span`` sit inside every frame, so disabled tracing must

@@ -58,10 +58,6 @@ class POFObservation:
     def present(self) -> bool:
         return bool(self.outlines or self.carets or self.highlights)
 
-    def focused_rect(self) -> Rect | None:
-        """The field the user is focused on, if a focus outline exists."""
-        return self.outlines[0] if self.outlines else None
-
 
 def _band_mask(pixels: np.ndarray, intensity: float, tol: float = BAND_TOL) -> np.ndarray:
     """Pixels within ``tol`` of ``intensity``: ``|p - c| <= tol``.

@@ -50,7 +50,3 @@ class ScreenshotSampler:
             raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
         self.next_sample_ms = max(self.next_sample_ms, now_ms + delay_ms)
         return self.next_sample_ms
-
-    @property
-    def mean_period_ms(self) -> float:
-        return self.max_delay_ms / 2.0

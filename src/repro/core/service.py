@@ -506,8 +506,8 @@ class WitnessService:
 
     def telemetry(self):
         """One :class:`~repro.obs.telemetry.TelemetrySnapshot` federating
-        every stats island: sessions, cache, health, spans, flight,
-        arenas."""
+        every stats island: sessions, cache, health, faults, spans,
+        flight."""
         from repro.obs.telemetry import build_snapshot
 
         return build_snapshot(self)

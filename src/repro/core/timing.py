@@ -34,9 +34,6 @@ class SessionTiming:
     def subsequent_frame_times(self) -> list:
         return self.frame_times[1:]
 
-    def total_validation(self) -> float:
-        return self.t_init + sum(self.frame_times) + self.t_request
-
 
 def request_delay(timing: SessionTiming, session_seconds: float) -> float:
     """The delay L added to the final request for a given session length.

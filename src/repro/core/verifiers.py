@@ -28,8 +28,10 @@ Frozen inference
 ----------------
 
 Verifiers feed unit inputs to the model's compiled frozen twin
-(:mod:`repro.nn.infer`) — fused float32 stages over reused per-shape
-workspaces, no inference lock.  The layer-by-layer training forward
+(:mod:`repro.nn.infer`) — fused float32 stages over one grow-only
+workspace per net and thread, no inference lock.  Every chunk size a
+plan forwards is served from the buffers of the largest one that thread
+has seen.  The layer-by-layer training forward
 (``MatcherModel.predict(..., frozen=False)``) stays for training and
 attacks, and as the reference the frozen path's parity tests compare
 against.
@@ -354,10 +356,6 @@ class _Verifier:
         self.forward_retries = 0
         #: Cache lookups/stores that raised and were treated as misses.
         self.cache_faults = 0
-
-    def reset_counters(self) -> None:
-        self.invocations = 0
-        self.forwards = 0
 
     def _cache_get(self, key: str):
         """A cache lookup that degrades, never decides: errors are misses."""

@@ -116,12 +116,6 @@ class FaultPlan:
     def points(self) -> tuple:
         return tuple(spec.point for spec in self.specs)
 
-    def spec_for(self, point: str) -> FaultSpec | None:
-        for spec in self.specs:
-            if spec.point == point:
-                return spec
-        return None
-
 
 # -- the shipped plan catalog ----------------------------------------------
 

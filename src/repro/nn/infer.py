@@ -26,13 +26,13 @@ executable:
   force downstream) disappear.  Values are bit-identical: layout is an
   execution detail, and every rearrangement is an exact copy or an exact
   ``max``.
-* **Workspace arenas.**  All scratch (pad rings, im2col columns, GEMM
-  outputs, pool temporaries) lives in a per-shape :class:`Workspace`,
-  keyed by input shape and reused across calls — the steady state of a
-  session thread, which replays the same chunked batch shapes frame after
-  frame, allocates nothing.  Workspaces are thread-confined (one arena per
-  thread, LRU-evicted past ``max_shapes``), so frozen forwards need no
-  inference lock at all.
+* **One grow-only workspace per net and thread.**  All scratch (pad
+  rings, im2col columns, GEMM outputs, pool temporaries) lives in the
+  net's :class:`Workspace` for the calling thread.  A buffer is kept per
+  key and serves any batch up to the largest seen as a prefix view, so
+  once a thread has forwarded its largest chunk, later forwards of any
+  smaller batch allocate nothing.  Workspaces are thread-confined, so
+  frozen forwards need no inference lock at all.
 
 Parity guarantee
 ----------------
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -80,121 +79,55 @@ from repro.nn.tensorops import conv_output_size
 #: The one and only dtype of a frozen forward.
 INFER_DTYPE = np.float32
 
-#: Default bound on distinct input shapes cached per thread before LRU
-#: eviction.  Matcher traffic is shape-repetitive (chunked batches), so
-#: a handful of slots covers the steady state while a session storm of
-#: odd shapes cannot grow memory without bound.
-DEFAULT_MAX_SHAPES = 8
 
 class Workspace:
-    """Preallocated scratch buffers for one input shape.
+    """Grow-only scratch buffers of one frozen net on one thread.
 
-    A workspace belongs to exactly one ``(net, thread, input shape)``
-    triple, so every buffer's shape is fully determined by its key and a
-    repeated-shape call reuses every allocation of the first.
+    Each key keeps one buffer.  A request whose per-sample shape
+    (``shape[1:]``) matches gets a leading-axis prefix view of it when it
+    is large enough; otherwise a new buffer of exactly ``shape`` replaces
+    it.  The largest batch a thread has forwarded therefore serves every
+    smaller one without allocating.
+
+    A workspace belongs to the thread that created it: using it from any
+    other thread raises, rather than hand out buffers the owner may be
+    writing.
     """
 
-    __slots__ = ("_bufs", "allocations", "nbytes")
+    __slots__ = ("_bufs", "allocations", "thread", "owner_ident", "__weakref__")
 
     def __init__(self) -> None:
         self._bufs: dict = {}
         self.allocations = 0
-        self.nbytes = 0
-
-    def buf(self, key, shape: tuple) -> np.ndarray:
-        """The scratch array registered under ``key`` (allocated once).
-
-        Buffers are zeroed at allocation only: pad-ring buffers rely on
-        their border staying zero across calls (the interior is fully
-        overwritten every call), which saves a full memset per conv.
-        """
-        b = self._bufs.get(key)
-        if b is None:
-            b = np.zeros(shape, dtype=INFER_DTYPE)
-            self._bufs[key] = b
-            self.allocations += 1
-            self.nbytes += b.nbytes
-        return b
-
-
-class _Arena:
-    """One thread's LRU of :class:`Workspace` objects keyed by input shape.
-
-    Arenas are thread-confined: the creating thread owns one, and a
-    checkout from any other thread raises rather than hand out buffers
-    another thread may be writing.
-    """
-
-    __slots__ = ("max_shapes", "_workspaces", "hits", "misses", "evictions", "thread", "owner_ident")
-
-    def __init__(self, max_shapes: int) -> None:
-        self.max_shapes = max_shapes
-        self._workspaces: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         self.thread = threading.current_thread().name
         self.owner_ident = threading.get_ident()
 
-    def workspace(self, shape: tuple) -> Workspace:
+    def buf(self, key, shape: tuple) -> np.ndarray:
+        """The scratch array registered under ``key``, viewed at ``shape``.
+
+        Buffers are zeroed at allocation only: pad-ring buffers rely on
+        their border staying zero across calls (the interior is fully
+        overwritten every call), which saves a full memset per conv.  A
+        prefix view keeps each sample's layout, so the border of every
+        row persists too.  The last view per key is kept with its shape,
+        so a repeated request (every chunk of a sequential plan) costs
+        one tuple compare instead of a fresh slice.
+        """
         if threading.get_ident() != self.owner_ident:
             raise RuntimeError(
-                f"workspace arena of thread {self.thread!r} checked out from "
-                f"{threading.current_thread().name!r}: arenas are thread-confined"
+                f"workspace of thread {self.thread!r} used from "
+                f"{threading.current_thread().name!r}: workspaces are thread-confined"
             )
-        ws = self._workspaces.get(shape)
-        if ws is not None:
-            self._workspaces.move_to_end(shape)
-            self.hits += 1
-            return ws
-        self.misses += 1
-        ws = Workspace()
-        self._workspaces[shape] = ws
-        if len(self._workspaces) > self.max_shapes:
-            self._workspaces.popitem(last=False)
-            self.evictions += 1
-        return ws
-
-    def stats(self) -> dict:
-        return {
-            "thread": self.thread,
-            "shapes": len(self._workspaces),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "allocations": sum(ws.allocations for ws in self._workspaces.values()),
-            "nbytes": sum(ws.nbytes for ws in self._workspaces.values()),
-        }
-
-
-class _ArenaSet:
-    """Thread-local arenas plus a registry so stats can see all threads.
-
-    Registry entries pair each arena with its owning thread; dead
-    threads' entries are pruned whenever a new thread registers, so a
-    process-global frozen twin does not accumulate workspace memory
-    across thread churn (fleets of short-lived worker pools).
-    """
-
-    def __init__(self, max_shapes: int) -> None:
-        self.max_shapes = max_shapes
-        self._tls = threading.local()
-        self._entries: list = []  # (thread, arena)
-        self._lock = threading.Lock()
-
-    def arena(self) -> _Arena:
-        arena = getattr(self._tls, "arena", None)
-        if arena is None:
-            arena = _Arena(self.max_shapes)
-            self._tls.arena = arena
-            with self._lock:
-                self._entries = [(t, a) for t, a in self._entries if t.is_alive()]
-                self._entries.append((threading.current_thread(), arena))
-        return arena
-
-    def stats(self) -> list:
-        with self._lock:
-            return [arena.stats() for _thread, arena in self._entries]
+        entry = self._bufs.get(key)
+        if entry is not None and entry[1] == shape:
+            return entry[2]  # the view handed out last time
+        b = None if entry is None else entry[0]
+        if b is None or b.shape[1:] != shape[1:] or b.shape[0] < shape[0]:
+            b = np.zeros(shape, dtype=INFER_DTYPE)
+            self.allocations += 1
+        view = b[: shape[0]]
+        self._bufs[key] = (b, shape, view)
+        return view
 
 
 # ---------------------------------------------------------------------------
@@ -412,19 +345,27 @@ class FrozenNet:
     """An inference-only compiled ``Sequential``.
 
     Thread-safe without locks: weights are read-only after compilation
-    and all scratch lives in thread-confined workspace arenas.
+    and all scratch lives in one :class:`Workspace` per thread.
     """
 
     is_frozen = True
 
-    def __init__(self, stages: list, max_shapes: int = DEFAULT_MAX_SHAPES) -> None:
+    def __init__(self, stages: list) -> None:
         if not stages:
             raise ValueError("FrozenNet needs at least one stage")
-        if max_shapes < 1:
-            raise ValueError(f"max_shapes must be >= 1, got {max_shapes}")
         self.stages = stages
-        self.max_shapes = max_shapes
-        self._arenas = _ArenaSet(max_shapes)
+        self._tls = threading.local()
+
+    def workspace(self) -> Workspace:
+        """This thread's workspace (created on the thread's first use).
+
+        It lives in a ``threading.local``, so it is released with its
+        thread.
+        """
+        ws = getattr(self._tls, "ws", None)
+        if ws is None:
+            ws = self._tls.ws = Workspace()
+        return ws
 
     # -- execution ---------------------------------------------------------
 
@@ -440,23 +381,16 @@ class FrozenNet:
             n, c, h, w = x.shape
             if c == 1:
                 # (N, 1, H, W) and (N, H, W, 1) share one memory order.
-                return self._run_nhwc(x.reshape(n, h, w, 1), copy)
-            ws_key = ("nchw", x.shape)
-            arena = self._arenas.arena()
-            ws = arena.workspace(ws_key)
-            nhwc = ws.buf(("entry",), (n, h, w, c))
+                return self.forward_nhwc(x.reshape(n, h, w, 1), copy)
+            ws = self.workspace()
+            nhwc = ws.buf("entry", (n, h, w, c))
             np.copyto(nhwc, x.transpose(0, 2, 3, 1))
             return self._run(nhwc, ws, copy)
-        arena = self._arenas.arena()
-        return self._run(x, arena.workspace(("flat", x.shape)), copy)
+        return self._run(x, self.workspace(), copy)
 
     def forward_nhwc(self, x: np.ndarray, copy: bool = True) -> np.ndarray:
         """Forward a channel-last raster batch (already float32 NHWC)."""
-        return self._run_nhwc(x, copy)
-
-    def _run_nhwc(self, x: np.ndarray, copy: bool) -> np.ndarray:
-        arena = self._arenas.arena()
-        return self._run(x, arena.workspace(("nhwc", x.shape)), copy)
+        return self._run(x, self.workspace(), copy)
 
     @hot_path
     def _run(self, x: np.ndarray, ws: Workspace, copy: bool) -> np.ndarray:
@@ -475,16 +409,6 @@ class FrozenNet:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x, copy=False).argmax(axis=1)
 
-    # -- observability -----------------------------------------------------
-
-    def workspace_stats(self) -> list:
-        """Per-thread arena statistics (tests and capacity planning)."""
-        return self._arenas.stats()
-
-
-def _aggregate_stats(nets: dict) -> dict:
-    return {name: net.workspace_stats() for name, net in nets.items()}
-
 
 class FrozenMatcher:
     """Inference-only twin of :class:`~repro.nn.model.MatcherModel`.
@@ -501,7 +425,6 @@ class FrozenMatcher:
         expected_net: FrozenNet,
         head_net: FrozenNet,
         threshold: float = 0.5,
-        max_shapes: int = DEFAULT_MAX_SHAPES,
     ) -> None:
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"threshold must be in (0,1), got {threshold}")
@@ -509,7 +432,6 @@ class FrozenMatcher:
         self.expected_net = expected_net
         self.head_net = head_net
         self.threshold = threshold
-        self._arenas = _ArenaSet(max_shapes)
 
     def forward(self, observed: np.ndarray, expected: np.ndarray) -> np.ndarray:
         fo = self.observed_net.forward(observed, copy=False)
@@ -517,8 +439,7 @@ class FrozenMatcher:
         if fo.shape[0] != fe.shape[0]:
             raise ValueError(f"batch mismatch: {fo.shape[0]} vs {fe.shape[0]}")
         no, ne = fo.shape[1], fe.shape[1]
-        ws = self._arenas.arena().workspace((fo.shape[0], no + ne))
-        cat = ws.buf(("cat",), (fo.shape[0], no + ne))
+        cat = self.head_net.workspace().buf("cat", (fo.shape[0], no + ne))
         cat[:, :no] = fo
         cat[:, no:] = fe
         return self.head_net.forward(cat)
@@ -536,7 +457,7 @@ class FrozenMatcher:
         return self.match_probability(observed, expected, chunk_size) >= self.threshold
 
     def with_threshold(self, threshold: float) -> "FrozenMatcher":
-        """A view sharing nets (and their arenas) at a new threshold."""
+        """A view sharing nets (and their workspaces) at a new threshold."""
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"threshold must be in (0,1), got {threshold}")
         clone = FrozenMatcher.__new__(FrozenMatcher)
@@ -544,17 +465,7 @@ class FrozenMatcher:
         clone.expected_net = self.expected_net
         clone.head_net = self.head_net
         clone.threshold = threshold
-        clone._arenas = self._arenas
         return clone
-
-    def workspace_stats(self) -> dict:
-        return _aggregate_stats(
-            {
-                "observed": self.observed_net,
-                "expected": self.expected_net,
-                "head": self.head_net,
-            }
-        )
 
 
 class FrozenPairMatcher:
@@ -562,14 +473,11 @@ class FrozenPairMatcher:
 
     is_frozen = True
 
-    def __init__(
-        self, net: FrozenNet, threshold: float = 0.5, max_shapes: int = DEFAULT_MAX_SHAPES
-    ) -> None:
+    def __init__(self, net: FrozenNet, threshold: float = 0.5) -> None:
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"threshold must be in (0,1), got {threshold}")
         self.net = net
         self.threshold = threshold
-        self._arenas = _ArenaSet(max_shapes)
 
     def forward(self, observed: np.ndarray, expected: np.ndarray) -> np.ndarray:
         observed = np.asarray(observed)
@@ -579,8 +487,7 @@ class FrozenPairMatcher:
         if observed.ndim != 4 or observed.shape[1] != 1:
             raise ValueError(f"expected (N, 1, H, W) rasters, got {observed.shape}")
         n, _c, h, w = observed.shape
-        ws = self._arenas.arena().workspace((n, h, w))
-        stacked = ws.buf(("stack",), (n, h, w, 2))
+        stacked = self.net.workspace().buf("stack", (n, h, w, 2))
         # Channel-last stacking: channel 0 observed, 1 expected — the same
         # column order the training path's channel concatenation produces.
         stacked[:, :, :, 0] = observed[:, 0]
@@ -603,11 +510,7 @@ class FrozenPairMatcher:
         clone = FrozenPairMatcher.__new__(FrozenPairMatcher)
         clone.net = self.net
         clone.threshold = threshold
-        clone._arenas = self._arenas
         return clone
-
-    def workspace_stats(self) -> dict:
-        return _aggregate_stats({"network": self.net})
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +518,7 @@ class FrozenPairMatcher:
 # ---------------------------------------------------------------------------
 
 
-def freeze(model, max_shapes: int = DEFAULT_MAX_SHAPES):
+def freeze(model):
     """Compile a trained model into its frozen inference executable.
 
     Accepts ``Sequential`` (→ :class:`FrozenNet`), ``MatcherModel``
@@ -629,27 +532,24 @@ def freeze(model, max_shapes: int = DEFAULT_MAX_SHAPES):
         return model
     if isinstance(model, MatcherModel):
         return FrozenMatcher(
-            FrozenNet(_compile_stages(model.observed_branch.layers), max_shapes),
-            FrozenNet(_compile_stages(model.expected_branch.layers), max_shapes),
-            FrozenNet(_compile_stages(model.head.layers), max_shapes),
+            FrozenNet(_compile_stages(model.observed_branch.layers)),
+            FrozenNet(_compile_stages(model.expected_branch.layers)),
+            FrozenNet(_compile_stages(model.head.layers)),
             threshold=model.threshold,
-            max_shapes=max_shapes,
         )
     if isinstance(model, ChannelPairMatcher):
         return FrozenPairMatcher(
-            FrozenNet(_compile_stages(model.network.layers), max_shapes),
-            threshold=model.threshold,
-            max_shapes=max_shapes,
+            FrozenNet(_compile_stages(model.network.layers)), threshold=model.threshold
         )
     if isinstance(model, Sequential):
-        return FrozenNet(_compile_stages(model.layers), max_shapes)
+        return FrozenNet(_compile_stages(model.layers))
     raise TypeError(f"cannot freeze {type(model).__name__}")
 
 
 _TWIN_LOCK = threading.Lock()
 
 
-def frozen_twin(model, max_shapes: int = DEFAULT_MAX_SHAPES):
+def frozen_twin(model):
     """The memoized frozen twin of ``model`` (compiled once per instance).
 
     The twin is cached on the model object itself so every caller —
@@ -663,7 +563,7 @@ def frozen_twin(model, max_shapes: int = DEFAULT_MAX_SHAPES):
     with _TWIN_LOCK:
         twin = model.__dict__.get("_frozen_twin")
         if twin is None:
-            twin = freeze(model, max_shapes)
+            twin = freeze(model)
             model.__dict__["_frozen_twin"] = twin
         return twin
 
@@ -672,21 +572,6 @@ def invalidate_frozen(model) -> None:
     """Drop ``model``'s memoized frozen twin (after in-place mutation)."""
     with _TWIN_LOCK:
         model.__dict__.pop("_frozen_twin", None)
-
-
-def arena_stats(model) -> dict | None:
-    """Workspace-arena stats of ``model``'s memoized frozen twin, or None.
-
-    Purely observational — the telemetry hub calls this for models that
-    may never have dispatched frozen inference, and querying stats must
-    not trigger a compile.  A model that *is* a frozen executable reports
-    its own arenas.
-    """
-    if getattr(model, "is_frozen", False):
-        return model.workspace_stats()
-    with _TWIN_LOCK:
-        twin = model.__dict__.get("_frozen_twin") if hasattr(model, "__dict__") else None
-    return None if twin is None else twin.workspace_stats()
 
 
 def predict_fn(model):

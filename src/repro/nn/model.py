@@ -26,9 +26,11 @@ PREDICT_CHUNK = 512
 def _chunked_probability(forward, observed, expected, chunk_size) -> np.ndarray:
     """Sigmoid-of-forward over ``(observed, expected)`` in bounded chunks.
 
-    Caller holds the inference lock; layer activation caches are only valid
-    for the most recent forward, which is why chunks run inside one lock
-    acquisition rather than per-chunk.
+    On the training path the caller holds the inference lock: layer
+    activation caches are only valid for the most recent forward, which is
+    why chunks run inside one lock acquisition rather than per-chunk.  The
+    frozen twins call it without a lock; their scratch is per thread and
+    each chunk's forward returns a copy.
     """
     n = observed.shape[0]
     if chunk_size is None or n <= chunk_size:
@@ -209,7 +211,7 @@ class MatcherModel:
         clone.infer_lock = self.infer_lock  # shared branches, shared lock
         twin = getattr(self, "_frozen_twin", None)
         if twin is not None:
-            # Inherit the compiled twin (shared nets/arenas) at the new
+            # Inherit the compiled twin (shared nets and workspaces) at the new
             # threshold so threshold hardening keeps the frozen engine.
             clone._frozen_twin = twin.with_threshold(threshold)
         return clone

@@ -1,11 +1,10 @@
 """The telemetry hub: one namespaced snapshot of every stats island.
 
-Observability grew organically, one island per subsystem: arena stats
-live on the frozen twins (:mod:`repro.nn.infer`), cache accounting on the
-:class:`~repro.core.caches.DigestCache`, session counters in the
-:class:`~repro.core.service.SessionRegistry`, span latencies in the span
-metrics.  :func:`build_snapshot` federates them into one
-:class:`TelemetrySnapshot` with stable namespaces::
+Observability grew organically, one island per subsystem: cache
+accounting on the :class:`~repro.core.caches.DigestCache`, session
+counters in the :class:`~repro.core.service.SessionRegistry`, span
+latencies in the span metrics.  :func:`build_snapshot` federates them
+into one :class:`TelemetrySnapshot` with stable namespaces::
 
     service   batched/caching/tracing knobs
     sessions  registry counters (active/total_opened/peak_active)
@@ -16,7 +15,6 @@ metrics.  :func:`build_snapshot` federates them into one
               or None when no FaultPlan is armed
     spans     per-stage latency histograms incl. p50/p95/p99, or {}
     flight    flight-recorder ring stats, or None
-    arenas    frozen-twin workspace arenas per model kind (+ totals)
 
 Exports: :meth:`~TelemetrySnapshot.to_json` (stable, sorted keys),
 :meth:`~TelemetrySnapshot.to_prometheus` (text exposition format:
@@ -26,6 +24,9 @@ summary; also behind ``python -m repro.obs``).
 
 CONTRIBUTING rule: a new subsystem that keeps stats must surface them
 through a namespace here — islands don't get rediscovered by operators.
+The frozen engine's scratch has no namespace: it is one grow-only
+workspace per net and thread, whose only counter (``allocations``)
+exists for the steady-state tests.
 """
 
 from __future__ import annotations
@@ -33,46 +34,9 @@ from __future__ import annotations
 import json
 import re
 
-from repro.nn.infer import arena_stats
 from repro.obs.spans import span_snapshots
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_]")
-
-
-def _arena_section(text_model, image_model) -> dict:
-    """Workspace-arena stats of both models' memoized frozen twins.
-
-    Purely observational: a model that never dispatched frozen inference
-    has no twin and reports ``None`` (telemetry must not force a
-    compile).
-    """
-    per_model = {"text": arena_stats(text_model), "image": arena_stats(image_model)}
-    totals = {"hits": 0, "misses": 0, "evictions": 0, "allocations": 0, "nbytes": 0}
-    for stats in per_model.values():
-        if stats is None:
-            continue
-        for net_stats in stats.values():
-            for arena in _iter_arenas(net_stats):
-                for key in totals:
-                    totals[key] += arena.get(key, 0)
-    return {"totals": totals, "models": per_model}
-
-
-def _iter_arenas(net_stats):
-    """Flatten a net's workspace stats into per-thread arena dicts.
-
-    ``FrozenMatcher.workspace_stats()`` nests ``{net: [arena, ...]}`` one
-    level deeper than ``FrozenNet.workspace_stats()`` (a plain list);
-    accept both.
-    """
-    if isinstance(net_stats, dict) and "nbytes" in net_stats:
-        yield net_stats
-    elif isinstance(net_stats, dict):
-        for value in net_stats.values():
-            yield from _iter_arenas(value)
-    elif isinstance(net_stats, list):
-        for item in net_stats:
-            yield from _iter_arenas(item)
 
 
 class TelemetrySnapshot:
@@ -184,13 +148,6 @@ class TelemetrySnapshot:
             lines.append(
                 "  faults: plan={plan} fired={total_fired}".format(**faults)
             )
-        arenas = s.get("arenas")
-        if arenas:
-            lines.append(
-                "  arenas: hits={hits} misses={misses} nbytes={nbytes}".format(
-                    **arenas["totals"]
-                )
-            )
         return "\n".join(lines)
 
 
@@ -230,6 +187,5 @@ def build_snapshot(service) -> TelemetrySnapshot:
         ),
         "spans": span_snapshots(service.span_metrics),
         "flight": recorder.stats() if recorder is not None else None,
-        "arenas": _arena_section(service.text_model, service.image_model),
     }
     return TelemetrySnapshot(sections)

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
-from repro.vision.image import DTYPE, as_array, to_uint8
+from repro.vision.image import as_array, to_uint8
 from repro.vision.ops import resize_bilinear
 
 
@@ -53,21 +51,3 @@ def difference_hash(image, hash_size: int = 8) -> int:
 def hamming_distance(hash_a: int, hash_b: int) -> int:
     """Number of differing bits between two perceptual hashes."""
     return int(bin(hash_a ^ hash_b).count("1"))
-
-
-def perceptual_match(image_a, image_b, hash_size: int = 8, max_distance: int = 5) -> bool:
-    """The image-hash baseline's match rule: small Hamming distance on dHash."""
-    da = difference_hash(image_a, hash_size)
-    db = difference_hash(image_b, hash_size)
-    return hamming_distance(da, db) <= max_distance
-
-
-def content_fingerprint(image, block: int = 16) -> np.ndarray:
-    """Blockwise mean fingerprint, used by tests to assert gross similarity."""
-    arr = as_array(image)
-    h = (arr.shape[0] // block) * block
-    w = (arr.shape[1] // block) * block
-    if h == 0 or w == 0:
-        return np.asarray([[arr.mean()]], dtype=DTYPE)
-    blocks = arr[:h, :w].reshape(h // block, block, w // block, block)
-    return blocks.mean(axis=(1, 3))

@@ -100,7 +100,7 @@ def test_escape_checker_flags_stash_and_handoff(result):
     assert findings_for(result, "core/bad_escape.py") == [
         (15, "conc-escape"),  # row stored on self._keep
         (20, "conc-escape"),  # reshape view stored on self
-        (23, "conc-escape"),  # Workspace.buf arena reservation stored on self
+        (23, "conc-escape"),  # Workspace.buf reservation stored on self
         (28, "conc-escape"),  # lambda over row passed to executor.submit
         (37, "conc-escape"),  # nested def over row passed to threading.Thread
     ]

@@ -8,16 +8,19 @@ Covers the PR-4 tentpole guarantees:
   the verifier level (the frozen verifiers'
   verdicts on frame-style unit inputs vs the training forward
   ``model.predict(..., frozen=False)`` on the same rows);
-* workspace arenas: shape-keyed reuse (repeated shapes allocate
-  nothing), thread confinement (one arena per thread, a checkout from
-  any other thread raises), LRU eviction under a shape storm;
+* workspaces: one grow-only workspace per net and thread whose prefix
+  views give a freshly frozen twin's logits (smaller batches after the
+  largest allocate nothing), thread confinement (use from any other
+  thread raises), release with a finished thread;
 * compile-time constant folding of affine chains;
 * serialize/zoo agreement on when freezing happens.
 """
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,8 +31,7 @@ from repro.nn.infer import (
     FrozenMatcher,
     FrozenNet,
     FrozenPairMatcher,
-    _Arena,
-    _ArenaSet,
+    Workspace,
     freeze,
     frozen_twin,
     invalidate_frozen,
@@ -264,41 +266,63 @@ class TestDecisionParityProperty:
         )
 
 
+def _conv_net(seed: int) -> Sequential:
+    """A conv stack with no dense head: accepts any even spatial size."""
+    rng = np.random.default_rng(seed)
+    return Sequential(
+        [Conv2D(1, 4, rng=rng), ReLU(), MaxPool2D(2), Conv2D(4, 3, rng=rng), Flatten()]
+    )
+
+
+def _matcher_allocations(frozen: FrozenMatcher) -> int:
+    return sum(
+        net.workspace().allocations
+        for net in (frozen.observed_net, frozen.expected_net, frozen.head_net)
+    )
+
+
 class TestWorkspaceArena:
+    """One grow-only :class:`Workspace` per frozen net and thread."""
+
     def test_repeated_shape_allocates_once(self):
         frozen = freeze(build_text_matcher(seed=7))
         rng = np.random.default_rng(7)
-        obs, exp = _rand_text_inputs(rng, 32)
-        frozen.predict(obs, exp)
-        allocations = lambda: sum(  # noqa: E731
-            a["allocations"] for arenas in frozen.workspace_stats().values() for a in arenas
-        )
-        first = allocations()
+        frozen.predict(*_rand_text_inputs(rng, 32))
+        first = _matcher_allocations(frozen)
         assert first > 0
         for _ in range(4):
-            obs, exp = _rand_text_inputs(rng, 32)
-            frozen.predict(obs, exp)
-        assert allocations() == first, "repeated-shape forwards must not allocate"
-        hits = sum(a["hits"] for arenas in frozen.workspace_stats().values() for a in arenas)
-        assert hits > 0
+            frozen.predict(*_rand_text_inputs(rng, 32))
+        assert _matcher_allocations(frozen) == first, "repeated-shape forwards must not allocate"
 
-    def test_distinct_shapes_get_distinct_workspaces(self):
-        frozen = freeze(build_text_matcher(seed=7))
+    def test_grow_only_matches_fresh_twin(self):
+        """Prefix views of kept buffers give a freshly frozen twin's logits,
+        and once the largest batch has run, smaller ones allocate nothing."""
+        text = build_text_matcher(seed=7)
+        image = build_image_matcher(seed=7)
+        frozen_text, frozen_image = freeze(text), freeze(image)
         rng = np.random.default_rng(8)
-        for n in (4, 9, 4):
-            frozen.predict(*_rand_text_inputs(rng, n))
-        obs_stats = frozen.workspace_stats()["observed"]
-        assert sum(a["shapes"] for a in obs_stats) == 2
+        grown = None
+        for n in (9, 4, 9, 512, 1, 300, 512):
+            obs, exp = _rand_text_inputs(rng, n)
+            assert np.array_equal(frozen_text.forward(obs, exp), freeze(text).forward(obs, exp))
+            pair = _rand_image_inputs(rng, n)
+            assert np.array_equal(frozen_image.forward(*pair), freeze(image).forward(*pair))
+            allocations = (
+                _matcher_allocations(frozen_text),
+                frozen_image.net.workspace().allocations,
+            )
+            if grown is not None:
+                assert allocations == grown, f"batch {n} allocated after batch 512"
+            elif n == 512:
+                grown = allocations
 
-    def test_eviction_bounds_shape_storm(self):
-        frozen = freeze(build_text_matcher(seed=7), max_shapes=2)
-        rng = np.random.default_rng(9)
-        for n in range(1, 9):  # eight distinct batch shapes
-            frozen.predict(*_rand_text_inputs(rng, n))
-        for net_stats in frozen.workspace_stats().values():
-            for arena in net_stats:
-                assert arena["shapes"] <= 2
-                assert arena["evictions"] > 0
+        # A new per-sample shape replaces the kept buffer; the zero pad
+        # ring of the new buffer must hold for every later prefix view.
+        seq = _conv_net(9)
+        net = freeze(seq)
+        for n, side in ((6, 32), (2, 32), (6, 16), (3, 16), (6, 32), (1, 32)):
+            x = rng.random((n, 1, side, side), dtype=np.float32)
+            assert np.array_equal(net.forward(x), freeze(seq).forward(x))
 
     def test_thread_confinement(self):
         """Concurrent forwards share no workspaces and stay correct."""
@@ -314,51 +338,54 @@ class TestWorkspaceArena:
             out = []
             for _ in range(25):
                 out.append(frozen.predict(obs, exp))
-            return out
+            return out, frozen.observed_net.workspace(), threading.get_ident()
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(worker, range(4)))
-        for per_thread in results:
+        for per_thread, _ws, _ident in results:
             for verdicts in per_thread:
                 assert np.array_equal(verdicts, expected)
-        # One arena per participating thread, each thread-confined.
-        obs_arenas = frozen.workspace_stats()["observed"]
-        assert len(obs_arenas) >= 4
-        threads = [a["thread"] for a in obs_arenas]
-        assert len(threads) == len(set(threads))
+        # One workspace per participating thread, owned by that thread.
+        workspaces = [ws for _, ws, _ in results]
+        assert len({id(ws) for ws in workspaces}) == 4
+        assert all(ws.owner_ident == ident for _, ws, ident in results)
 
     def test_arena_is_pinned_to_its_thread(self):
-        arenas = _ArenaSet(4)
+        net = freeze(_conv_net(11))
         box = {}
 
         def create():
-            box["arena"] = arenas.arena()
+            box["ws"] = net.workspace()
             box["ident"] = threading.get_ident()
 
         t = threading.Thread(target=create)
         t.start()
         t.join(timeout=10)
         assert not t.is_alive()
-        assert box["arena"].owner_ident == box["ident"]
+        assert box["ws"].owner_ident == box["ident"]
         assert box["ident"] != threading.get_ident()
+        assert net.workspace() is not box["ws"]
 
     def test_foreign_checkout_raises(self):
-        arenas = _ArenaSet(4)
         box = {}
-        t = threading.Thread(target=lambda: box.setdefault("arena", arenas.arena()))
+        t = threading.Thread(target=lambda: box.setdefault("ws", Workspace()))
         t.start()
         t.join(timeout=10)
         assert not t.is_alive()
         with pytest.raises(RuntimeError, match="thread-confined"):
-            box["arena"].workspace((1, 1, 8, 8))
-        assert box["arena"].stats()["misses"] == 0
+            box["ws"].buf("pad", (1, 8, 8, 1))
+        assert box["ws"].allocations == 0
 
     def test_same_thread_checkout_works(self):
-        arena = _Arena(4)  # built outside _ArenaSet: owned by its creator
-        assert arena.owner_ident == threading.get_ident()
-        ws = arena.workspace((1, 1, 8, 8))
-        assert arena.workspace((1, 1, 8, 8)) is ws
-        assert (arena.hits, arena.misses) == (1, 1)
+        ws = Workspace()  # owned by its creator
+        assert ws.owner_ident == threading.get_ident()
+        big = ws.buf("k", (4, 3))
+        small = ws.buf("k", (2, 3))
+        assert small.shape == (2, 3) and np.shares_memory(small, big)
+        assert ws.allocations == 1
+        assert ws.buf("k", (8, 3)).shape == (8, 3)  # larger batch: grows
+        assert ws.buf("k", (2, 5)).shape == (2, 5)  # new per-sample shape
+        assert ws.allocations == 3
 
 
 class TestConstantFolding:
@@ -440,15 +467,23 @@ class TestFreezeLifecycle:
         )
 
     def test_dead_thread_arenas_are_pruned(self):
+        """A finished thread's workspace is released with the thread."""
         frozen = freeze(build_text_matcher(seed=7))
         obs, exp = _rand_text_inputs(np.random.default_rng(25), 3)
-        for _ in range(3):  # each thread leaves a dead arena behind
-            t = threading.Thread(target=frozen.predict, args=(obs, exp))
+        refs = []
+
+        def run():
+            frozen.predict(obs, exp)
+            refs.append(weakref.ref(frozen.observed_net.workspace()))
+
+        for _ in range(3):
+            t = threading.Thread(target=run)
             t.start()
             t.join()
-        frozen.predict(obs, exp)  # registration on a live thread prunes
-        arenas = frozen.workspace_stats()["observed"]
-        assert len(arenas) == 1  # only the calling thread's arena remains
+        gc.collect()
+        assert len(refs) == 3
+        assert all(ref() is None for ref in refs)
+        assert frozen.predict(obs, exp).shape == (3,)
 
     def test_zoo_models_carry_twins(self, text_model, image_model):
         assert "_frozen_twin" in text_model.__dict__

@@ -347,8 +347,9 @@ def test_telemetry_snapshot_sections_and_json(text_model, image_model):
     _, service = _run(SMALL_SPEC, text_model, image_model, tracing=True)
     snap = service.telemetry()
     d = snap.as_dict()
-    for section in ("service", "sessions", "cache", "spans", "flight", "arenas"):
-        assert section in d, f"missing telemetry section {section}"
+    assert set(d) == {
+        "service", "sessions", "cache", "health", "faults", "spans", "flight",
+    }
     assert d["service"]["tracing"] is True
     assert d["flight"]["recorded"] > 0
     # JSON round-trip.
