@@ -1,4 +1,4 @@
-"""Ablations of vWitness's design choices (DESIGN.md §5).
+"""Ablations of vWitness's design choices (paper §III-C and §IV-A; README "Verdict caching").
 
 * Random vs periodic sampling against TOCTOU display flipping.
 * Differential detection + caching vs full re-validation per frame.

@@ -106,7 +106,8 @@ def main() -> None:
     print(f"  vWitness: certified={decision.certified}; server: {verdict.reason}")
     assert decision.certified and verdict.ok
     print(
-        f"  one witness service covered {site.service.registry.total_opened} guest sessions"
+        f"  one witness service covered {site.service.registry.stats()['total_opened']} "
+        "guest sessions"
     )
 
 

@@ -76,7 +76,7 @@ def main() -> None:
             site.connect(f"form-{FORMS[i % len(FORMS)]}", display=(640, 600))
             for i in range(GUESTS)
         ]
-        print(f"fleet: {service.active_sessions} concurrent sessions open\n")
+        print(f"fleet: {service.registry.stats()['active']} concurrent sessions open\n")
         with ThreadPoolExecutor(max_workers=GUESTS) as pool:
             outcomes = list(
                 pool.map(lambda pair: drive_guest(*pair), enumerate(clients))
@@ -88,12 +88,12 @@ def main() -> None:
             )
             print(f"  guest {index:>2} [{scenario:<9}] {verdict}")
 
-        stats = service.stats()
+        snap = service.telemetry()
         forwards = sum(
             c.witness.report.text_forwards + c.witness.report.image_forwards for c in clients
         )
-        print(f"\nsessions         : {stats['sessions']}")
-        print(f"cache hit rate   : {stats['cache_hit_rate']:.1%}")
+        print(f"\nsessions         : {snap['sessions']}")
+        print(f"cache hit rate   : {snap['cache']['hit_rate']:.1%}")
         print(f"forwards         : {forwards} model forwards across the fleet")
 
     certified = sum(

@@ -87,9 +87,10 @@ def main() -> None:
         f"{report.text_invocations} text / {report.image_invocations} graphics "
         "model invocations"
     )
+    sessions = service.registry.stats()
     print(
-        f"service stats    : {service.registry.total_opened} session(s) served, "
-        f"{service.active_sessions} still active"
+        f"service stats    : {sessions['total_opened']} session(s) served, "
+        f"{sessions['active']} still active"
     )
     print(f"request body     : {decision.request.body}")
 

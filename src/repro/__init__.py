@@ -23,10 +23,10 @@ Entry points:
 >>> from repro.core.service import WitnessConfig, WitnessService
 >>> from repro.server import WebServer, WitnessedSite
 >>> from repro.web import Browser, Machine, Page
->>> from repro.core.session import VWitness, install_vwitness  # compat shim
 
-See README.md for a quickstart, DESIGN.md for the architecture and
-substitution rationale, and EXPERIMENTS.md for paper-vs-measured results.
+See README.md: "Quickstart: the WitnessService API" for the entry
+points, "Layout" for the package map, and "Performance" for measured
+results (one file per paper table under ``benchmarks/results/``).
 """
 
 __version__ = "1.0.0"

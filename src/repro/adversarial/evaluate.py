@@ -202,12 +202,3 @@ def robustness_grid(
         for epsilon in _norm_epsilons("l2"):
             by_eps[epsilon] = value
     return report
-
-
-def format_table3_row(report: RobustnessReport, reference: RobustnessReport | None = None) -> str:
-    """Human-readable summary line mirroring a Table III row group."""
-    parts = [f"{report.model_name:<18} clean={report.clean_accuracy * 100:6.2f}%"]
-    parts.append(f"avg-attacked={report.average_attacked_accuracy * 100:6.2f}%")
-    if reference is not None:
-        parts.append(f"factor={report.robustness_factor(reference):5.2f}x")
-    return "  ".join(parts)

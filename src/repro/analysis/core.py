@@ -75,9 +75,6 @@ class Checker:
         """
         raise NotImplementedError
 
-    def rule_ids(self) -> tuple:
-        return tuple(rule.id for rule in self.rules)
-
 
 #: Module prefixes whose numeric code must stay float32-clean: the
 #: raster/vision/nn stack feeding model inputs (PR 4's float64 leaks all

@@ -18,9 +18,8 @@ The pipeline, per sampled frame:
 :class:`repro.core.service.WitnessService` owns the heavyweight resources
 (models, sealed key, shared caches) and vends per-guest
 :class:`repro.core.service.WitnessSession` handles that wire these
-together behind the three extension APIs;
-:class:`repro.core.session.VWitness` remains as the single-session compat
-shim.  :mod:`repro.core.timing` models the request delay
+together behind the three extension APIs.  :mod:`repro.core.timing`
+models the request delay
 ``L = T(init) + sum T(frame_i) + T(request) - T(session)`` of §VI-B.
 """
 
@@ -39,7 +38,6 @@ from repro.core.service import (
     WitnessService,
     WitnessSession,
 )
-from repro.core.session import VWitness, install_vwitness
 from repro.core.timing import SessionTiming, cutoff_session_length, request_delay
 
 __all__ = [
@@ -48,7 +46,6 @@ __all__ = [
     "WitnessConfig",
     "FrameOutcome",
     "SessionRegistry",
-    "install_vwitness",
     "TextVerifier",
     "ImageVerifier",
     "POFObservation",
@@ -64,7 +61,6 @@ __all__ = [
     "Violation",
     "SubmissionValidator",
     "CertificationDecision",
-    "VWitness",
     "SessionReport",
     "SessionTiming",
     "request_delay",

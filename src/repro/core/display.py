@@ -50,6 +50,7 @@ from repro.vision.image import DTYPE as RASTER_DTYPE
 from repro.vision.image import Image
 from repro.vision.match import PageSpectrum, best_vertical_offset, normalized_cross_correlation
 from repro.vspec.spec import CharCell, ManifestEntry, VSpec
+from repro.web.layout import INPUT_PAD_X
 from repro.web.render import DEFAULT_POF, draw_input_value
 
 #: Minimum NCC score for viewport identification; below this the frame
@@ -377,7 +378,9 @@ class DisplayValidator:
                 frame_pixels, visible_cells, offset_x=0, offset_y=offset,
                 background=self.vspec.background,
             )
-            deferred.append(self._text_emitter(visible_cells, cell_range))
+            deferred.append(
+                _cell_emitter("text", visible_cells, cell_range, "character ", " mismatch")
+            )
         elif entry.kind == "image":
             region = self._observed_region(frame_pixels, entry.rect, offset, viewport)
             if region is None:
@@ -434,19 +437,6 @@ class DisplayValidator:
         else:  # pragma: no cover - manifest kinds are closed
             raise ValueError(f"unknown entry kind {entry.kind!r}")
 
-    def _text_emitter(self, cells: list, cell_range: slice):
-        """Emitter for plain text cells: one failure per mismatched glyph."""
-
-        def emit(result, text_verdicts, _image_verdicts):
-            for cell, verdict in zip(cells, text_verdicts[cell_range]):
-                if not verdict:
-                    result.ok = False
-                    result.failures.append(
-                        ElementFailure("text", cell.rect.as_tuple(), f"character {cell.char!r} mismatch")
-                    )
-
-        return emit
-
     def _collect_select_text(
         self,
         entry: ManifestEntry,
@@ -466,20 +456,11 @@ class DisplayValidator:
         cell_range = plan.add_cells(
             frame_pixels, cells, offset_x=0, offset_y=offset, background=252.0
         )
-
-        def emit(result, text_verdicts, _image_verdicts, entry=entry, cells=cells):
-            for cell, verdict in zip(cells, text_verdicts[cell_range]):
-                if not verdict:
-                    result.ok = False
-                    result.failures.append(
-                        ElementFailure(
-                            "select",
-                            cell.rect.as_tuple(),
-                            f"{entry.input_name}: option char {cell.char!r} mismatch",
-                        )
-                    )
-
-        deferred.append(emit)
+        deferred.append(
+            _cell_emitter(
+                "select", cells, cell_range, f"{entry.input_name}: option char ", " mismatch"
+            )
+        )
 
     def _observed_region(
         self, frame_pixels: np.ndarray, rect: Rect, offset: int, viewport: Rect
@@ -504,50 +485,27 @@ class DisplayValidator:
         if not viewport.contains(entry.rect):
             return
         value = str(tracked_inputs.get(entry.input_name, entry.initial_value))
-        box = entry.rect
-        advance = char_advance(entry.text_size)
-        origin_x = box.x + 6  # INPUT_PAD_X
-        origin_y = box.y + (box.h - entry.text_size) // 2
-        cells = [
-            CharCell(origin_x + i * advance, origin_y, advance, entry.text_size, ch)
-            for i, ch in enumerate(value)
-            if ch != " " and origin_x + (i + 1) * advance < box.x2
-        ]
+        cells = input_value_cells(entry, value)
         cell_range = plan.add_cells(
             frame_pixels, cells, offset_x=0, offset_y=offset, background=252.0
         )
+        name = entry.input_name
+        deferred.append(
+            _cell_emitter("input", cells, cell_range, f"{name}: displayed char != tracked ", "")
+        )
         # Beyond the value, the field must be empty (no extra content).
         # Plain pixel statistics — resolved at collect time.
-        tail_clean = True
-        tail_x = origin_x + len(value) * advance + 2
+        box = entry.rect
+        tail_x = box.x + INPUT_PAD_X + len(value) * char_advance(entry.text_size) + 2
         if tail_x < box.x2 - 2:
             fy0 = box.y - offset + 2
             tail = frame_pixels[fy0 : box.y2 - offset - 2, tail_x : box.x2 - 2]
             if tail.size and float(np.mean(tail < 200.0)) > 0.005:
-                tail_clean = False
-
-        def emit(result, text_verdicts, _image_verdicts, entry=entry, cells=cells):
-            for cell, verdict in zip(cells, text_verdicts[cell_range]):
-                if not verdict:
-                    result.ok = False
-                    result.failures.append(
-                        ElementFailure(
-                            "input",
-                            cell.rect.as_tuple(),
-                            f"{entry.input_name}: displayed char != tracked {cell.char!r}",
-                        )
-                    )
-            if not tail_clean:
-                result.ok = False
-                result.failures.append(
-                    ElementFailure(
-                        "input",
-                        entry.rect.as_tuple(),
-                        f"{entry.input_name}: unexpected content beyond tracked value",
+                deferred.append(
+                    _fixed_failure(
+                        "input", box, f"{name}: unexpected content beyond tracked value"
                     )
                 )
-
-        deferred.append(emit)
 
     def _collect_scrollable(
         self,
@@ -615,20 +573,11 @@ class DisplayValidator:
                 background=252.0,
                 retry=False,
             )
-
-            def emit(result, text_verdicts, _image_verdicts, cells=adjusted, cell_range=cell_range):
-                for cell, verdict in zip(cells, text_verdicts[cell_range]):
-                    if not verdict:
-                        result.ok = False
-                        result.failures.append(
-                            ElementFailure(
-                                "scroll-text",
-                                cell.rect.as_tuple(),
-                                f"list row character {cell.char!r} mismatch",
-                            )
-                        )
-
-            deferred.append(emit)
+            deferred.append(
+                _cell_emitter(
+                    "scroll-text", adjusted, cell_range, "list row character ", " mismatch"
+                )
+            )
 
     def _validate_background(
         self,
@@ -674,6 +623,38 @@ class DisplayValidator:
                     f"{bad_fraction * 100:.2f}% of background pixels off-color",
                 )
             )
+
+
+def input_value_cells(entry: ManifestEntry, value: str) -> list:
+    """The glyph cells of ``value`` displayed in a free-text input box.
+
+    Drawn from the box's text origin (``INPUT_PAD_X`` in, vertically
+    centred), one cell per non-space character that ends inside the box.
+    """
+    box = entry.rect
+    advance = char_advance(entry.text_size)
+    origin_x = box.x + INPUT_PAD_X
+    origin_y = box.y + (box.h - entry.text_size) // 2
+    return [
+        CharCell(origin_x + i * advance, origin_y, advance, entry.text_size, ch)
+        for i, ch in enumerate(value)
+        if ch != " " and origin_x + (i + 1) * advance < box.x2
+    ]
+
+
+def _cell_emitter(kind: str, cells: list, cell_range: slice, prefix: str, suffix: str):
+    """A deferred emitter for glyph cells: one failure per mismatched cell,
+    its reason ``prefix + repr(char) + suffix``."""
+
+    def emit(result, text_verdicts, _image_verdicts):
+        for cell, verdict in zip(cells, text_verdicts[cell_range]):
+            if not verdict:
+                result.ok = False
+                result.failures.append(
+                    ElementFailure(kind, cell.rect.as_tuple(), f"{prefix}{cell.char!r}{suffix}")
+                )
+
+    return emit
 
 
 def _fixed_failure(kind: str, rect: Rect, reason: str):

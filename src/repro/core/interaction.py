@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.display import input_value_cells
 from repro.core.pof import POFObservation
 from repro.core.verifiers import ImageVerifier, TextVerifier, structural_match
-from repro.raster.text import char_advance
 from repro.vision.components import Rect
-from repro.vspec.spec import CharCell, ManifestEntry, VSpec
+from repro.vspec.spec import ManifestEntry, VSpec
 
 
 @dataclass(frozen=True)
@@ -185,16 +185,12 @@ class InteractionTracker:
     ) -> bool:
         """Is the hinted value what the display actually shows?"""
         if entry.kind == "input":
-            advance = char_advance(entry.text_size)
-            origin_x = entry.rect.x + 6
-            origin_y = entry.rect.y + (entry.rect.h - entry.text_size) // 2
-            cells = [
-                CharCell(origin_x + i * advance, origin_y, advance, entry.text_size, ch)
-                for i, ch in enumerate(value)
-                if ch != " " and origin_x + (i + 1) * advance < entry.rect.x2
-            ]
             verdicts = self.text_verifier.verify_cells(
-                frame_pixels, cells, offset_x=0, offset_y=offset_y, background=252.0
+                frame_pixels,
+                input_value_cells(entry, value),
+                offset_x=0,
+                offset_y=offset_y,
+                background=252.0,
             )
             return bool(np.all(verdicts))
         if entry.kind in ("checkbox", "radio", "select"):

@@ -1,30 +1,21 @@
 """Service-oriented witness API: one service, many concurrent sessions.
 
-The paper's prototype witnesses one guest at a time, and the original
-``VWitness`` object mirrored that: heavyweight resources (trained CNN
-verifiers, the sealed signing key, caches) were owned by a single
-stateful session object.  Production traffic needs the inverse shape:
-
 * :class:`WitnessService` — long-lived and thread-safe.  Loads/trains
   the text and image models exactly once (through the process-wide zoo
-  registry), holds the sealed key, measured state and certificate, and
-  owns one cross-session :class:`~repro.core.caches.DigestCache`.
+  registry), is provisioned from a CA at construction (§III-A: ``K_pri``
+  sealed to the measured trusted stack, ``K_pub`` certified), owns one
+  cross-session :class:`~repro.core.caches.DigestCache` and dispatches
+  the ``on_frame``/``on_violation``/``on_decision`` hooks.
 * :class:`WitnessSession` — a cheap single-use handle, one per guest
   :class:`~repro.web.hypervisor.Machine`, with a context-manager
   lifecycle.  It runs the §III-B workflow (``begin_session`` /
-  ``receive_hint`` / ``end_session``) against the service's shared
-  resources while keeping all per-guest state private.
-* :class:`WitnessConfig` — an immutable configuration record replacing
-  the old 8-kwarg constructor; per-session overrides derive from it
-  with :meth:`WitnessConfig.replace`.
+  ``receive_hint`` / ``end_session``) under its service's config and
+  shared resources while keeping all per-guest state private.
+* :class:`WitnessConfig` — the immutable configuration of a service.
 * :class:`FrameOutcome` — the typed per-frame result delivered to the
-  ``on_frame`` observability hook; ``on_violation`` and ``on_decision``
-  fire as violations are recorded and submissions are certified.
-* :class:`SessionRegistry` — tracks the live sessions of a service so
-  one witness can concurrently cover N machines.
-
-``repro.core.session.VWitness`` remains as a thin backward-compat shim
-that wraps a dedicated single-machine service.
+  ``on_frame`` hook.
+* :class:`SessionRegistry` — the live sessions of a service and its
+  session counters, read as one :meth:`SessionRegistry.stats` snapshot.
 """
 
 from __future__ import annotations
@@ -68,12 +59,8 @@ TRUSTED_STACK = {
 
 @dataclass(frozen=True)
 class WitnessConfig:
-    """Immutable witness configuration (replaces the 8-kwarg constructor).
-
-    A service is built with one config; individual sessions may derive
-    variations via :meth:`replace` (e.g. a different sampler seed per
-    guest) without touching shared state.
-    """
+    """Immutable witness configuration; every session of a service runs
+    under the service's one config (derive variants with :meth:`replace`)."""
 
     #: Plan-level batching: with ``True`` each frame's collected
     #: ValidationPlan runs through the model in chunks of up to
@@ -211,12 +198,10 @@ class SessionReport:
 class SessionRegistry:
     """Thread-safe book-keeping of a service's live sessions.
 
-    The lifetime statistics (``total_opened``, ``peak_active``) are
-    written under the registry lock and must be read under it too — bare
-    attributes let readers observe a torn pair (a ``total_opened`` that
-    already counts a session whose ``peak_active`` bump it misses), so
-    they are exposed as locked properties, and :meth:`stats` returns one
-    mutually consistent snapshot of all three numbers.
+    Every counter is written under the registry lock and read only
+    through :meth:`stats`, one mutually consistent snapshot: bare reads
+    could observe a torn pair (a ``total_opened`` that already counts a
+    session whose ``peak_active`` bump it misses).
     """
 
     def __init__(self) -> None:
@@ -225,6 +210,8 @@ class SessionRegistry:
         self._ids = itertools.count(1)
         self._total_opened = 0
         self._peak_active = 0
+        self._frames_tracked = 0
+        self._quarantined = 0
 
     def register(self, session: "WitnessSession") -> int:
         with self._lock:
@@ -238,6 +225,16 @@ class SessionRegistry:
         with self._lock:
             self._sessions.pop(session.id, None)
 
+    def note_tracked(self) -> None:
+        """Count one frame whose viewport was tracked instead of searched."""
+        with self._lock:
+            self._frames_tracked += 1
+
+    def note_quarantine(self) -> None:
+        """Count one quarantined session."""
+        with self._lock:
+            self._quarantined += 1
+
     def active(self) -> list:
         """The currently registered (not yet closed) sessions."""
         with self._lock:
@@ -250,28 +247,9 @@ class SessionRegistry:
                 "active": len(self._sessions),
                 "total_opened": self._total_opened,
                 "peak_active": self._peak_active,
+                "frames_tracked": self._frames_tracked,
+                "quarantined": self._quarantined,
             }
-
-    @property
-    def total_opened(self) -> int:
-        with self._lock:
-            return self._total_opened
-
-    @property
-    def peak_active(self) -> int:
-        with self._lock:
-            return self._peak_active
-
-    @property
-    def active_count(self) -> int:
-        with self._lock:
-            return len(self._sessions)
-
-    def __len__(self) -> int:
-        return self.active_count
-
-    def __iter__(self):
-        return iter(self.active())
 
 
 class WitnessService:
@@ -281,23 +259,18 @@ class WitnessService:
     signing key and certificate, the cross-session digest cache — and
     vends :class:`WitnessSession` handles via :meth:`open_session`.
 
-    Provisioning (§III-A): pass a ``ca`` and the service generates
-    ``K_pri``, seals it to the measured trusted stack and has the CA
-    certify ``K_pub``.  Alternatively pass pre-provisioned
-    ``sealed_key``/``measured_state``/``certificate`` (the compat path).
+    Provisioning (§III-A): the service generates ``K_pri``, seals it to
+    the measured trusted stack and has ``ca`` certify ``K_pub`` for
+    ``config.subject``.
     """
 
     def __init__(
         self,
-        ca: CertificateAuthority | None = None,
+        ca: CertificateAuthority,
         config: WitnessConfig | None = None,
         *,
         text_model=None,
         image_model=None,
-        sealed_key: SealedSigningKey | None = None,
-        measured_state: MeasuredState | None = None,
-        certificate=None,
-        subject: str | None = None,
     ) -> None:
         self.config = config or WitnessConfig()
         self.ca = ca
@@ -311,21 +284,10 @@ class WitnessService:
         self.text_model = text_model
         self.image_model = image_model
 
-        if measured_state is None:
-            measured_state = MeasuredState.measure(dict(TRUSTED_STACK))
-        if sealed_key is None or certificate is None:
-            if ca is None:
-                raise ValueError(
-                    "provisioning a WitnessService needs either a CertificateAuthority "
-                    "or a pre-provisioned sealed_key + certificate"
-                )
-            key = generate_signing_key()
-            sealed_key = SealedSigningKey(key, measured_state)
-            certificate = ca.issue(subject or self.config.subject, key.public_key())
-        self.measured_state = measured_state
-        self.sealed_key = sealed_key
-        self.certificate = certificate
-        self.submission = SubmissionValidator(sealed_key, measured_state, certificate)
+        state = MeasuredState.measure(dict(TRUSTED_STACK))
+        key = generate_signing_key()
+        certificate = ca.issue(self.config.subject, key.public_key())
+        self.submission = SubmissionValidator(SealedSigningKey(key, state), state, certificate)
 
         self.shared_cache: DigestCache | None = (
             DigestCache() if self.config.caching else None
@@ -339,10 +301,6 @@ class WitnessService:
         )
         if self.fault_injector is not None and self.shared_cache is not None:
             self.shared_cache.fault_hook = self.fault_injector.cache_hook
-        self._quarantine_lock = threading.Lock()
-        self._quarantined_sessions = 0
-        self._tracked_lock = threading.Lock()
-        self._frames_tracked = 0
         self.registry = SessionRegistry()
         self._hooks: dict = {"frame": [], "violation": [], "decision": []}
         # Observability state (repro.obs): span histograms and the flight
@@ -354,6 +312,8 @@ class WitnessService:
         self._flight_seq = itertools.count(1)
 
     # -- observability hooks ----------------------------------------------
+    # Hooks fire for every session of the service; a callback that cares
+    # about one guest filters on its ``session`` argument.
 
     def on_frame(self, callback):
         """Register ``callback(session, outcome)`` for every sampled frame."""
@@ -374,67 +334,48 @@ class WitnessService:
     # -- session vending ---------------------------------------------------
 
     def open_session(
-        self,
-        machine: Machine,
-        *,
-        config: WitnessConfig | None = None,
-        sampler_seed: int | None = None,
+        self, machine: Machine, *, sampler_seed: int | None = None
     ) -> "WitnessSession":
         """Vend a session handle for one guest machine.
 
-        ``config`` overrides the service config for this session only;
-        ``sampler_seed`` overrides just the sampling seed.  When the
-        caller pins neither (service defaults), each session gets a
-        distinct derived seed (base + a large-stride session counter, so
-        it also stays clear of typical hand-pinned values) and therefore
-        a distinct sampling schedule.  A seed pinned via either argument
-        is honored verbatim.  Note the simulation's seeded RNG is
-        deterministic by design — schedule *unpredictability* against a
-        real co-located attacker is an OS-entropy concern, out of scope
-        here.
+        A pinned ``sampler_seed`` is honored verbatim.  Otherwise each
+        session gets a distinct derived seed (the config's + a
+        large-stride session counter, so it also stays clear of typical
+        hand-pinned values) and therefore a distinct sampling schedule.
+        Note the simulation's seeded RNG is deterministic by design —
+        schedule *unpredictability* against a real co-located attacker is
+        an OS-entropy concern, out of scope here.
         """
-        cfg = config or self.config
-        session = WitnessSession(self, machine, cfg, sampler_seed=sampler_seed)
+        session = WitnessSession(self, machine)
         session.id = self.registry.register(session)
-        if sampler_seed is None and config is None:
-            session.sampler_seed = cfg.sampler_seed + (session.id - 1) * _SEED_STRIDE
+        if sampler_seed is None:
+            sampler_seed = self.config.sampler_seed + (session.id - 1) * _SEED_STRIDE
+        session.sampler_seed = sampler_seed
         return session
 
-    def session_cache_views(self, cfg: WitnessConfig):
-        """(text, image) cache views for one session under ``cfg``.
+    def session_cache_views(self):
+        """(text, image) views of the shared cache, or ``(None, None)``.
 
         Both views sit over the *same* shared store but in disjoint
         namespaces, so a text-tile digest can never satisfy an
         image-region lookup (and vice versa).
         """
-        if not cfg.caching:
+        if self.shared_cache is None:
             return None, None
-        base = self.shared_cache
-        if base is None:
-            base = DigestCache()
-            if self.fault_injector is not None:
-                base.fault_hook = self.fault_injector.cache_hook
-        return base.scoped("text"), base.scoped("image")
-
-    @property
-    def active_sessions(self) -> int:
-        return self.registry.active_count
+        return self.shared_cache.scoped("text"), self.shared_cache.scoped("image")
 
     # -- health & degradation ------------------------------------------------
 
-    def _note_quarantine(self) -> None:
-        with self._quarantine_lock:
-            self._quarantined_sessions += 1
-
-    def health(self) -> dict:
+    def health(self, sessions: dict | None = None) -> dict:
         """The service's degradation-ladder state, one JSON-able dict.
 
         ``healthy`` until a session is quarantined, then ``degraded``:
         something unrecoverable happened.  Also reports the fault
-        injector's arming state.
+        injector's arming state.  ``sessions`` is a
+        :meth:`SessionRegistry.stats` snapshot already taken (telemetry
+        passes its own, so both sections read one snapshot).
         """
-        with self._quarantine_lock:
-            quarantined = self._quarantined_sessions
+        quarantined = (sessions or self.registry.stats())["quarantined"]
         return {
             "state": "degraded" if quarantined else "healthy",
             "quarantined_sessions": quarantined,
@@ -444,39 +385,16 @@ class WitnessService:
             ),
         }
 
-    def _note_tracked(self) -> None:
-        with self._tracked_lock:
-            self._frames_tracked += 1
-
-    def stats(self) -> dict:
-        """One observability snapshot: sessions, cache, tracking and health.
-
-        ``sessions`` is the registry's consistent counter snapshot,
-        ``cache`` the digest cache's accounting (``None`` without
-        caching) and ``frames_tracked`` the frames, over every session of
-        the service, whose viewport was tracked instead of searched.
-        """
-        cache = self.shared_cache
-        with self._tracked_lock:
-            frames_tracked = self._frames_tracked
-        return {
-            "sessions": self.registry.stats(),
-            "frames_tracked": frames_tracked,
-            "cache": cache.stats() if cache is not None else None,
-            "cache_hit_rate": cache.hit_rate if cache is not None else None,
-            "health": self.health(),
-        }
-
     # -- observability (repro.obs) -----------------------------------------
 
-    def session_tracer(self, cfg: WitnessConfig, session_id: int):
-        """A :class:`~repro.obs.spans.SpanTracer` for one session under
-        ``cfg``, or ``None`` when tracing is off (the zero-cost default).
+    def session_tracer(self, session_id: int):
+        """A :class:`~repro.obs.spans.SpanTracer` for one session, or
+        ``None`` when tracing is off (the zero-cost default).
 
         All traced sessions of a service share one span-metrics registry
         (percentiles aggregate service-wide) and one flight ring.
         """
-        if not cfg.tracing:
+        if not self.config.tracing:
             return None
         from repro.obs.flight import FlightRecorder
         from repro.obs.spans import SpanTracer
@@ -486,7 +404,7 @@ class WitnessService:
             if self._span_metrics is None:
                 self._span_metrics = MetricsRegistry()
             if self._flight is None:
-                self._flight = FlightRecorder(cfg.flight_frames)
+                self._flight = FlightRecorder(self.config.flight_frames)
             return SpanTracer(
                 session_id,
                 self._span_metrics,
@@ -521,12 +439,12 @@ class WitnessService:
         directly for ad-hoc snapshots.
         """
         recorder = self._flight
-        cfg = session.config if session is not None else self.config
-        if recorder is None or not cfg.flight_dir:
+        flight_dir = self.config.flight_dir
+        if recorder is None or not flight_dir:
             return None
         seq = next(self._flight_seq)
         sid = session.id if session is not None else 0
-        path = os.path.join(cfg.flight_dir, f"flight-s{sid:03d}-{seq:04d}.json")
+        path = os.path.join(flight_dir, f"flight-s{sid:03d}-{seq:04d}.json")
         return recorder.dump(path, reason=reason)
 
     def close(self) -> None:
@@ -553,8 +471,6 @@ class WitnessService:
             self.dump_flight(f"decision-rejected: {payload.reason}", session)
         for callback in self._hooks[kind]:
             callback(session, payload)
-        for callback in session._hooks[kind]:
-            callback(session, payload)
 
 
 class WitnessSession:
@@ -567,21 +483,15 @@ class WitnessSession:
     number of sessions may run concurrently against one service.
     """
 
-    def __init__(
-        self,
-        service: WitnessService,
-        machine: Machine,
-        config: WitnessConfig,
-        sampler_seed: int | None = None,
-    ) -> None:
+    def __init__(self, service: WitnessService, machine: Machine) -> None:
         self.service = service
         self.machine: Machine | None = machine  # None once closed
-        self.config = config
-        self.sampler_seed = config.sampler_seed if sampler_seed is None else sampler_seed
-        self.id = 0  # assigned by the registry at open time
+        self.config = service.config
+        # Both assigned by WitnessService.open_session.
+        self.id = 0
+        self.sampler_seed = 0
         self.vspec: VSpec | None = None
         self.report = SessionReport()
-        self._hooks: dict = {"frame": [], "violation": [], "decision": []}
         self._state = "open"  # open -> witnessing -> ended | closed
         self._sampler: ScreenshotSampler | None = None
         self._display: DisplayValidator | None = None
@@ -608,20 +518,6 @@ class WitnessSession:
         self._fault_count = 0
         self._quarantined = False
 
-    # -- hooks (per-session; service-level hooks also fire) ----------------
-
-    def on_frame(self, callback):
-        self._hooks["frame"].append(callback)
-        return callback
-
-    def on_violation(self, callback):
-        self._hooks["violation"].append(callback)
-        return callback
-
-    def on_decision(self, callback):
-        self._hooks["decision"].append(callback)
-        return callback
-
     # -- context manager ---------------------------------------------------
 
     def __enter__(self) -> "WitnessSession":
@@ -644,8 +540,8 @@ class WitnessSession:
         self._state = "witnessing"
         self.vspec = vspec
         self.report = SessionReport()
-        text_cache, image_cache = self.service.session_cache_views(self.config)
-        self._tracer = self.service.session_tracer(self.config, self.id)
+        text_cache, image_cache = self.service.session_cache_views()
+        self._tracer = self.service.session_tracer(self.id)
         chunk_size = PREDICT_CHUNK if self.config.batched else 1
         self._text_verifier = TextVerifier(
             self.service.text_model,
@@ -689,8 +585,6 @@ class WitnessSession:
         self._clean_start_pending = True
         self._process_sample(now, mandatory=True)
 
-    begin = begin_session
-
     def receive_hint(self, hint) -> None:
         """Queue an input hint and sample the display immediately.
 
@@ -733,8 +627,6 @@ class WitnessSession:
         self.service._dispatch("decision", self, decision)
         self.close(ended=True)
         return decision
-
-    end = end_session
 
     def close(self, ended: bool = False) -> None:
         """Tear the session down: detach, unregister, drop per-guest state.
@@ -811,7 +703,7 @@ class WitnessSession:
                     "validation faults",
                 )
             )
-            self.service._note_quarantine()
+            self.service.registry.note_quarantine()
 
     def _process_sample(self, now_ms: float, mandatory: bool = False) -> DisplayResult | None:
         """One sampled frame through the full validation pipeline.
@@ -972,7 +864,7 @@ class WitnessSession:
         self.report.frames_sampled += 1
         if result.viewport_tracked:
             self.report.frames_tracked += 1
-            self.service._note_tracked()
+            self.service.registry.note_tracked()
         self.report.timing.frame_times.append(elapsed)
         self.report.timing.frame_sample_times_ms.append(now_ms)
         if self._text_verifier is not None:

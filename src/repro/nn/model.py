@@ -140,12 +140,6 @@ class MatcherModel:
         d_exp = self.expected_branch.backward(grad_cat[:, no:])
         return d_obs, d_exp
 
-    def input_gradient(self, observed, expected, grad_logits) -> np.ndarray:
-        """Gradient of a scalar-through-logits loss w.r.t. the observed raster."""
-        self.forward(observed, expected)
-        d_obs, _d_exp = self.backward(grad_logits)
-        return d_obs
-
     # -- inference -----------------------------------------------------------
 
     def _frozen_dispatch(self, frozen: bool | None):

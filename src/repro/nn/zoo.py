@@ -85,7 +85,7 @@ def build_image_matcher(seed: int = 0, threshold: float = 0.5) -> ChannelPairMat
 
     Table II describes two feature extractions; stacking the rasters as
     channels fuses those extractions into the first convolution, which
-    trains far more reliably at this model scale (see DESIGN.md).
+    trains far more reliably at this model scale.
     """
     rng = np.random.default_rng(seed)
     network = Sequential(

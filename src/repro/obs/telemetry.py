@@ -7,7 +7,8 @@ latencies in the span metrics.  :func:`build_snapshot` federates them
 into one :class:`TelemetrySnapshot` with stable namespaces::
 
     service   batched/caching/tracing knobs
-    sessions  registry counters (active/total_opened/peak_active)
+    sessions  registry counters (active/total_opened/peak_active/
+              frames_tracked/quarantined), one consistent snapshot
     cache     DigestCache stats (entries/hits/misses/evictions/hit_rate)
     health    degradation-ladder state (healthy/degraded, quarantine
               counter, fault-injector arming)
@@ -108,7 +109,8 @@ class TelemetrySnapshot:
             "  service: batched={batched} caching={caching} tracing={tracing}".format(
                 **s["service"]
             ),
-            "  sessions: active={active} opened={total_opened} peak={peak_active}".format(
+            "  sessions: active={active} opened={total_opened} peak={peak_active} "
+            "tracked={frames_tracked}".format(
                 **s["sessions"]
             ),
         ]
@@ -171,15 +173,16 @@ def build_snapshot(service) -> TelemetrySnapshot:
     cfg = service.config
     cache = service.shared_cache
     recorder = service.flight_recorder
+    sessions = service.registry.stats()
     sections = {
         "service": {
             "batched": cfg.batched,
             "caching": cfg.caching,
             "tracing": cfg.tracing,
         },
-        "sessions": service.registry.stats(),
+        "sessions": sessions,
         "cache": cache.stats() if cache is not None else None,
-        "health": service.health(),
+        "health": service.health(sessions),
         "faults": (
             service.fault_injector.snapshot()
             if service.fault_injector is not None

@@ -170,19 +170,6 @@ def icon_with_text(
     return base
 
 
-def icon_sheet(seed: int, count: int, size: int = 32) -> list:
-    """A deterministic mixed list of icons and natural patches."""
-    rng = np.random.default_rng(seed)
-    names = icon_names()
-    sheet = []
-    for i in range(count):
-        if rng.uniform() < 0.5:
-            sheet.append(render_icon(names[int(rng.integers(len(names)))], size=size))
-        else:
-            sheet.append(natural_patch(int(rng.integers(1, 10_000_000)), size=size))
-    return sheet
-
-
 def rotate_icon_90(image: Image) -> Image:
     """Rotate an icon tile by 90 degrees (tamper-negative construction)."""
     return Image(np.rot90(image.pixels).copy())

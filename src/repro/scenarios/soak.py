@@ -321,9 +321,7 @@ def run_scenario(scenario: Scenario, service: WitnessService, server: WebServer 
     whole flow to a fingerprint.
     """
     if server is None:
-        server = WebServer(service.ca) if service.ca is not None else None
-        if server is None:
-            raise ValueError("run_scenario needs a server or a service with a CA")
+        server = WebServer(service.ca)
     for page_id, page in scenario.pages:
         server.register_page(page_id, page)
 

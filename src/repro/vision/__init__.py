@@ -33,7 +33,7 @@ from repro.vision.match import (
 )
 from repro.vision.diff import DiffRegion, changed_regions, frame_difference
 from repro.vision.components import Rect, bounding_rect, connected_components, find_rectangles
-from repro.vision.hashing import average_hash, difference_hash, hamming_distance, region_digest
+from repro.vision.hashing import difference_hash, hamming_distance, region_digest
 
 __all__ = [
     "Image",
@@ -60,7 +60,6 @@ __all__ = [
     "connected_components",
     "bounding_rect",
     "find_rectangles",
-    "average_hash",
     "difference_hash",
     "hamming_distance",
     "region_digest",

@@ -28,16 +28,6 @@ def region_digest(image) -> str:
     return h.hexdigest()
 
 
-def average_hash(image, hash_size: int = 8) -> int:
-    """aHash: threshold a downsampled tile against its mean intensity."""
-    small = resize_bilinear(as_array(image), hash_size, hash_size)
-    bits = (small > small.mean()).ravel()
-    value = 0
-    for bit in bits:
-        value = (value << 1) | int(bit)
-    return value
-
-
 def difference_hash(image, hash_size: int = 8) -> int:
     """dHash: horizontal gradient signs of a downsampled tile."""
     small = resize_bilinear(as_array(image), hash_size, hash_size + 1)

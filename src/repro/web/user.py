@@ -148,15 +148,6 @@ class HonestUser:
         y = element.rect.y + 2 + row * lay.ROW_HEIGHT + lay.ROW_HEIGHT // 2
         self.click_viewport(element.rect.x + 10, y - self.browser.scroll_y)
 
-    def click_button(self, label: str) -> None:
-        for element in self.browser.page.elements:
-            if getattr(element, "label", None) == label and hasattr(element, "action"):
-                self._scroll_into_view(element)
-                cx, cy = element.rect.center
-                self.click_viewport(cx, cy - self.browser.scroll_y)
-                return
-        raise KeyError(f"no button labelled {label!r}")
-
     # -- reflective validation ----------------------------------------------------
 
     def _displayed_value_matches(self, element: TextInput, intended: str) -> bool:

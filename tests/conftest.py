@@ -54,23 +54,39 @@ def make_transfer_page() -> Page:
 
 
 class TransferScenario:
-    """A wired-up client/server/vWitness test bench."""
+    """A wired-up client/server/witness test bench.
 
-    def __init__(self, text_model, image_model, display=(640, 480), **vw_kwargs):
-        from repro.core.session import install_vwitness
+    ``config`` holds :class:`~repro.core.service.WitnessConfig` fields
+    (``batched`` defaults to ``True``); the session's sampler seed is
+    pinned to ``config.sampler_seed`` so each bench samples on the same
+    schedule.
+    """
+
+    def __init__(
+        self, text_model, image_model, display=(640, 480), extension=BrowserExtension, **config
+    ):
+        from repro.core.service import WitnessConfig, WitnessService
 
         self.ca = CertificateAuthority()
         self.server = WebServer(self.ca)
         self.server.register_page("transfer", make_transfer_page())
         self.machine = Machine(*display)
         self.browser = Browser(self.machine, self.server.serve_page("transfer"))
-        vw_kwargs.setdefault("batched", True)
-        self.vwitness = install_vwitness(
-            self.machine, self.ca, text_model=text_model, image_model=image_model, **vw_kwargs
+        config.setdefault("batched", True)
+        self.service = WitnessService(
+            self.ca, WitnessConfig(**config), text_model=text_model, image_model=image_model
         )
-        self.extension = BrowserExtension(self.browser, self.server, self.vwitness)
+        self.open_witness(extension)
         self.user = HonestUser(self.browser)
         self.vspec = None
+
+    def open_witness(self, extension=BrowserExtension):
+        """Open a fresh witness session on this bench's machine, with a new
+        extension of type ``extension`` driving it."""
+        self.witness = self.service.open_session(
+            self.machine, sampler_seed=self.service.config.sampler_seed
+        )
+        self.extension = extension(self.browser, self.server, self.witness)
 
     def begin(self):
         self.vspec = self.extension.acquire_vspecs("transfer")

@@ -15,7 +15,7 @@ from repro.attacks.tamper import overlay_rectangle, swap_text_on_display
 from repro.attacks.toctou import DisplayFlipper
 from repro.crypto.keys import MeasuredState, SealedSigningKey, SealError, generate_signing_key
 from repro.vision.components import Rect
-from tests.conftest import TransferScenario, make_transfer_page
+from tests.conftest import TransferScenario
 
 
 class TestRequestForgery:
@@ -115,7 +115,7 @@ class TestBackgroundTampering:
         scenario.machine.clock.advance(1200)
         decision = scenario.end()
         assert not decision.certified
-        failures = scenario.vwitness.report.all_failures
+        failures = scenario.witness.report.all_failures
         assert any(f.kind == "background" for f in failures), failures
 
     def test_dark_block_on_background_detected(self, scenario):
@@ -125,7 +125,7 @@ class TestBackgroundTampering:
         scenario.machine.clock.advance(1200)
         decision = scenario.end()
         assert not decision.certified
-        failures = scenario.vwitness.report.all_failures
+        failures = scenario.witness.report.all_failures
         assert any(f.kind == "background" for f in failures), failures
 
 
@@ -172,24 +172,7 @@ class TestTOCTOU:
 
 class TestDishonestExtension:
     def _scenario_with_evil_extension(self, text_model, image_model):
-        scenario = TransferScenario.__new__(TransferScenario)
-        from repro.core.session import install_vwitness
-        from repro.crypto import CertificateAuthority
-        from repro.server import WebServer
-        from repro.web import Browser, HonestUser, Machine
-
-        scenario.ca = CertificateAuthority()
-        scenario.server = WebServer(scenario.ca)
-        scenario.server.register_page("transfer", make_transfer_page())
-        scenario.machine = Machine(640, 480)
-        scenario.browser = Browser(scenario.machine, scenario.server.serve_page("transfer"))
-        scenario.vwitness = install_vwitness(
-            scenario.machine, scenario.ca, text_model=text_model, image_model=image_model, batched=True
-        )
-        scenario.extension = DishonestExtension(scenario.browser, scenario.server, scenario.vwitness)
-        scenario.user = HonestUser(scenario.browser)
-        scenario.vspec = None
-        return scenario
+        return TransferScenario(text_model, image_model, extension=DishonestExtension)
 
     def test_forged_hint_for_untouched_field_denied(self, text_model, image_model):
         scenario = self._scenario_with_evil_extension(text_model, image_model)
@@ -304,8 +287,8 @@ class TestReplayAndCrypto:
         scenario.begin()
         scenario.honest_fill()
         # Malware flips the measured state before submission.
-        scenario.vwitness.submission.measured_state = (
-            scenario.vwitness.submission.measured_state.with_tampered(
+        scenario.service.submission.measured_state = (
+            scenario.service.submission.measured_state.with_tampered(
                 "vwitness-core", b"patched"
             )
         )

@@ -332,15 +332,21 @@ def test_rejected_decision_dumps_flight_artifact(text_model, image_model, tmp_pa
 
 def test_service_stats_sections(text_model, image_model):
     _, service = _run(SMALL_SPEC, text_model, image_model, tracing=False)
-    stats = service.stats()
-    assert set(stats) == {"sessions", "frames_tracked", "cache", "cache_hit_rate", "health"}
-    assert stats["sessions"]["total_opened"] >= 1
-    assert stats["frames_tracked"] >= 0
-    assert stats["cache"]["hits"] == service.shared_cache.hits
-    assert set(stats["cache"]) == {
+    snap = service.telemetry()
+    sessions = snap["sessions"]
+    assert sessions == service.registry.stats()
+    assert set(sessions) == {
+        "active", "total_opened", "peak_active", "frames_tracked", "quarantined",
+    }
+    assert sessions["total_opened"] >= 1
+    assert sessions["frames_tracked"] >= 0
+    assert snap["cache"]["hits"] == service.shared_cache.hits
+    assert set(snap["cache"]) == {
         "entries", "capacity", "hits", "misses", "evictions", "hit_rate",
     }
-    assert stats["health"]["state"] == "healthy"
+    assert snap["health"] == service.health()
+    assert snap["health"]["state"] == "healthy"
+    assert snap["health"]["quarantined_sessions"] == sessions["quarantined"] == 0
 
 
 def test_telemetry_snapshot_sections_and_json(text_model, image_model):

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.caches import DigestCache
 from repro.core.service import SessionRegistry, WitnessConfig, WitnessService
-from repro.core.session import install_vwitness
 from repro.crypto import CertificateAuthority
 from repro.server import WebServer, WitnessedSite
 from repro.web import Browser, HonestUser, Machine
@@ -35,7 +34,7 @@ class TestMultiSession:
         site = make_site(text_model, image_model)
         alice = site.connect("transfer")
         bob = site.connect("transfer")
-        assert site.service.active_sessions == 2
+        assert site.service.registry.stats()["active"] == 2
         assert alice.witness is not bob.witness
         assert alice.vspec.session_id != bob.vspec.session_id
 
@@ -58,7 +57,7 @@ class TestMultiSession:
         assert alice.witness.report is not bob.witness.report
         assert site.verify(alice_decision).ok
         assert site.verify(bob_decision).ok
-        assert site.service.active_sessions == 0
+        assert site.service.registry.stats()["active"] == 0
 
     def test_violation_in_one_session_does_not_leak(self, text_model, image_model):
         """A tampering guest fails alone; a concurrent honest guest certifies."""
@@ -86,8 +85,8 @@ class TestMultiSession:
         before = zoo.model_registry_stats()
         site = make_site(text_model, image_model)
         clients = [site.connect("transfer") for _ in range(8)]
-        assert site.service.registry.peak_active == 8
-        assert site.service.active_sessions == 8
+        assert site.service.registry.stats()["peak_active"] == 8
+        assert site.service.registry.stats()["active"] == 8
 
         def drive(pair):
             index, client = pair
@@ -104,7 +103,7 @@ class TestMultiSession:
         bodies = [d.request.body["recipient"] for d in decisions]
         assert bodies == [f"ACC-{i}" for i in range(8)]
         tracked = sum(c.witness.report.frames_tracked for c in clients)
-        assert site.service.stats()["frames_tracked"] == tracked > 0
+        assert site.service.registry.stats()["frames_tracked"] == tracked > 0
         # One warm model set: no additional training (or even reloading)
         # happened to serve eight guests.
         after = zoo.model_registry_stats()
@@ -155,22 +154,6 @@ class TestConfig:
         assert second.sampler_seed == 3 + _SEED_STRIDE  # distinct by default
         pinned = service.open_session(Machine(640, 480), sampler_seed=7)
         assert pinned.sampler_seed == 7
-        via_config = service.open_session(
-            Machine(640, 480), config=config.replace(sampler_seed=9)
-        )
-        assert via_config.sampler_seed == 9
-
-    def test_per_session_config_override(self, text_model, image_model):
-        ca = CertificateAuthority()
-        service = WitnessService(
-            ca, WitnessConfig(caching=True), text_model=text_model, image_model=image_model
-        )
-        machine = Machine(640, 480)
-        session = service.open_session(
-            machine, config=service.config.replace(caching=False)
-        )
-        assert session.config.caching is False
-        assert service.config.caching is True
 
 
 class TestHooks:
@@ -238,23 +221,30 @@ class TestHooks:
         browser.scroll(200)  # guest starts mid-page: not a clean start
         browser.paint()
         outcomes = []
-        witness.on_frame(lambda session, outcome: outcomes.append(outcome))
+        service.on_frame(lambda session, outcome: outcomes.append(outcome))
         extension.begin_session()
         first = outcomes[0]
         assert any(v.rule == "clean-start" for v in first.new_violations)
         assert not first.clean
         assert witness.report.outcomes[0] is first
 
-    def test_session_level_hooks_are_per_session(self, text_model, image_model):
+    def test_service_hooks_filter_on_session(self, text_model, image_model):
+        """Service hooks see every session; filtering on ``session`` keeps
+        one guest's frames, and each frame reaches the hook once."""
         site = make_site(text_model, image_model)
         one = site.connect("transfer")
         two = site.connect("transfer")
         seen = []
-        one.witness.on_frame(lambda session, outcome: seen.append(session.id))
+        site.service.on_frame(lambda session, outcome: seen.append((session, outcome)))
         two.machine.clock.advance(1000)  # drives only session two's sampling
-        assert seen == []
+        assert seen and {session for session, _ in seen} == {two.witness}
+        mine = [outcome for session, outcome in seen if session is one.witness]
+        assert mine == []
         one.machine.clock.advance(1000)
-        assert seen and set(seen) == {one.witness.id}
+        mine = [outcome for session, outcome in seen if session is one.witness]
+        assert mine == one.witness.report.outcomes[1:]
+        theirs = [outcome for session, outcome in seen if session is two.witness]
+        assert theirs == two.witness.report.outcomes[1:]
         one.submit()
         two.submit()
 
@@ -306,10 +296,10 @@ class TestLifecycle:
             extension.acquire_vspecs("transfer")
             browser.paint()
             extension.begin_session()
-            assert service.active_sessions == 1
+            assert service.registry.stats()["active"] == 1
         # Abandoned without end_session: closed, unregistered, detached.
         assert witness.state == "closed"
-        assert service.active_sessions == 0
+        assert service.registry.stats()["active"] == 0
         machine.clock.advance(2000)  # no observer left to fire
         with pytest.raises(RuntimeError):
             witness.end_session({})
@@ -318,13 +308,13 @@ class TestLifecycle:
         """A guest that never submits must not stay registered forever."""
         site = make_site(text_model, image_model)
         with site.connect("transfer") as client:
-            assert site.service.active_sessions == 1
-        assert site.service.active_sessions == 0
+            assert site.service.registry.stats()["active"] == 1
+        assert site.service.registry.stats()["active"] == 0
         assert client.witness.state == "closed"
         explicit = site.connect("transfer")
         explicit.close()
         explicit.close()  # idempotent
-        assert site.service.active_sessions == 0
+        assert site.service.registry.stats()["active"] == 0
 
     def test_finished_guests_need_no_cycle_collection(self, text_model, image_model):
         """Reference counting alone frees a finished guest: its frames and
@@ -379,46 +369,22 @@ class TestLifecycle:
         assert len(report.outcomes) == report.frames_sampled
         client.close()
 
-    def test_compat_shim_second_end_session_raises(self, text_model, image_model):
-        ca = CertificateAuthority()
-        server = WebServer(ca)
-        server.register_page("transfer", make_transfer_page())
-        machine = Machine(640, 480)
-        browser = Browser(machine, server.serve_page("transfer"))
-        vwitness = install_vwitness(
-            machine, ca, text_model=text_model, image_model=image_model, batched=True
-        )
-        extension = BrowserExtension(browser, server, vwitness)
-        vspec = extension.acquire_vspecs("transfer")
-        browser.paint()
-        extension.begin_session()
-        HonestUser(browser).toggle_checkbox("confirm", True)
-        body = dict(browser.page.form_values(), session_id=vspec.session_id)
-        vwitness.end_session(body)
-        # Stale per-session state is gone; re-certifying must fail loudly.
-        assert vwitness._session is None
-        with pytest.raises(RuntimeError, match="no active session"):
-            vwitness.end_session(body)
-        with pytest.raises(RuntimeError, match="no active session"):
-            vwitness.receive_hint(None)
-        # The last report stays readable after teardown.
-        assert vwitness.report.frames_sampled > 0
-
     def test_registry_counts(self, text_model, image_model):
         site = make_site(text_model, image_model)
-        assert site.service.registry.total_opened == 0
+        registry = site.service.registry
+        assert registry.stats()["total_opened"] == 0
         a = site.connect("transfer")
         b = site.connect("transfer")
-        assert site.service.registry.total_opened == 2
-        assert site.service.registry.peak_active == 2
-        assert len(site.service.registry) == 2
+        snap = registry.stats()
+        assert (snap["active"], snap["total_opened"], snap["peak_active"]) == (2, 2, 2)
         HonestUser(a.browser).toggle_checkbox("confirm", True)
         a.submit()
-        assert site.service.registry.active_count == 1
-        assert site.service.registry.active() == [b.witness]
+        assert registry.stats()["active"] == 1
+        assert registry.active() == [b.witness]
         b.submit()
-        assert site.service.registry.active_count == 0
-        assert site.service.registry.peak_active == 2
+        snap = registry.stats()
+        assert (snap["active"], snap["total_opened"], snap["peak_active"]) == (0, 2, 2)
+        assert site.service.telemetry()["sessions"] == snap
 
 
 class TestCacheNamespacing:
@@ -467,19 +433,29 @@ class TestCacheNamespacing:
 class TestRegistryStats:
     def test_stats_snapshot_is_consistent_under_churn(self):
         registry = SessionRegistry()
+        errors = []
 
         class StubSession:
             id = 0
 
         def churn():
-            for _ in range(200):
+            for i in range(200):
                 session = StubSession()
                 session.id = registry.register(session)
+                registry.note_tracked()
+                if i % 2:
+                    registry.note_quarantine()
                 snap = registry.stats()
                 # A snapshot can never tear: every opened session is
-                # either active or was active before this peak.
-                assert snap["peak_active"] >= snap["active"]
-                assert snap["total_opened"] >= snap["active"]
+                # either active or was active before this peak, and each
+                # session is opened before its tracked frame is counted,
+                # and that before its quarantine.
+                if not (
+                    snap["peak_active"] >= snap["active"]
+                    and snap["total_opened"] >= snap["active"]
+                    and snap["total_opened"] >= snap["frames_tracked"] >= snap["quarantined"]
+                ):
+                    errors.append(snap)
                 registry.unregister(session)
 
         threads = [threading.Thread(target=churn) for _ in range(4)]
@@ -487,10 +463,16 @@ class TestRegistryStats:
             t.start()
         for t in threads:
             t.join(10.0)
+        assert errors == []
         final = registry.stats()
-        assert final == {"active": 0, "total_opened": 800, "peak_active": final["peak_active"]}
-        assert registry.total_opened == 800
-        assert 1 <= registry.peak_active <= 4
+        assert final == {
+            "active": 0,
+            "total_opened": 800,
+            "peak_active": final["peak_active"],
+            "frames_tracked": 800,
+            "quarantined": 400,
+        }
+        assert 1 <= final["peak_active"] <= 4
 
 
 class TestViewportTracking:
@@ -512,7 +494,7 @@ class TestViewportTracking:
         assert decision.certified, decision.reason
         report = client.witness.report
         assert sum(o.viewport_tracked for o in report.outcomes) == report.frames_tracked
-        assert site.service.stats()["frames_tracked"] == report.frames_tracked
+        assert site.service.registry.stats()["frames_tracked"] == report.frames_tracked
 
     def test_small_scrolls_are_never_tracked(self, text_model, image_model):
         _site, client, _user = self._typing_client(text_model, image_model)
@@ -555,7 +537,9 @@ class TestViewportTracking:
         sys.setswitchinterval(1e-6)
         try:
             threads = [
-                threading.Thread(target=lambda: [service._note_tracked() for _ in range(2000)])
+                threading.Thread(
+                    target=lambda: [service.registry.note_tracked() for _ in range(2000)]
+                )
                 for _ in range(8)
             ]
             for t in threads:
@@ -565,4 +549,4 @@ class TestViewportTracking:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert service.stats()["frames_tracked"] == 16000
+        assert service.registry.stats()["frames_tracked"] == 16000

@@ -15,7 +15,7 @@ class TestHonestSessions:
         decision = scenario.end()
         assert decision.certified, decision.reason
         assert scenario.server.verify(decision.request).ok
-        report = scenario.vwitness.report
+        report = scenario.witness.report
         assert report.display_ok
         assert not report.violations
         assert report.frames_sampled > 3
@@ -57,7 +57,7 @@ class TestHonestSessions:
         scenario.honest_fill()
         decision = scenario.end()
         assert decision.certified, decision.reason
-        times = scenario.vwitness.report.timing.frame_times
+        times = scenario.witness.report.timing.frame_times
         assert len(times) > 3
         assert np.mean(times[1:]) < times[0]
 
@@ -69,7 +69,7 @@ class TestHonestSessions:
         scenario.user.toggle_checkbox("confirm", True)
         decision = scenario.end()
         assert decision.certified, decision.reason
-        assert scenario.vwitness.report.frames_skipped == 0
+        assert scenario.witness.report.frames_skipped == 0
 
     def test_sequential_and_batched_agree(self, text_model, image_model):
         for batched in (False, True):
@@ -86,7 +86,7 @@ class TestHonestSessions:
         from repro.web.elements import Button, Page, TextBlock, TextInput
         from repro.web import Browser, HonestUser, Machine
         from repro.web.extension import BrowserExtension
-        from repro.core.session import install_vwitness
+        from repro.core.service import WitnessConfig, WitnessService
         from repro.crypto import CertificateAuthority
         from repro.server import WebServer
 
@@ -101,10 +101,10 @@ class TestHonestSessions:
         server.register_page("long", page)
         machine = Machine(640, 300)
         browser = Browser(machine, server.serve_page("long"))
-        vwitness = install_vwitness(
-            machine, ca, text_model=text_model, image_model=image_model, batched=True
+        service = WitnessService(
+            ca, WitnessConfig(batched=True), text_model=text_model, image_model=image_model
         )
-        extension = BrowserExtension(browser, server, vwitness)
+        extension = BrowserExtension(browser, server, service.open_session(machine))
         vspec = extension.acquire_vspecs("long")
         browser.paint()
         extension.begin_session()
@@ -120,7 +120,7 @@ class TestHonestSessions:
         scenario.begin()
         scenario.honest_fill()
         scenario.end()
-        report = scenario.vwitness.report
+        report = scenario.witness.report
         assert report.text_invocations > 0
         per_frame = sum(r.text_invocations for r in report.frame_results)
         # Display validation accounts for most invocations; the remainder
@@ -135,6 +135,7 @@ class TestHonestSessions:
         # A fresh VSPEC/session on the same machine and browser state: the
         # form still holds old values, so the clean-start check must fail.
         scenario.browser.page.find_input("amount").value = "250.00"
+        scenario.open_witness()
         vspec2 = scenario.extension.acquire_vspecs("transfer")
         scenario.browser.paint()
         scenario.extension.begin_session()
@@ -147,13 +148,13 @@ class TestHonestSessions:
 class TestSessionLifecycleErrors:
     def test_hint_without_session_rejected(self, scenario):
         with pytest.raises(RuntimeError):
-            scenario.vwitness.receive_hint(None)
+            scenario.witness.receive_hint(None)
 
     def test_end_without_session_rejected(self, scenario):
         with pytest.raises(RuntimeError):
-            scenario.vwitness.end_session({})
+            scenario.witness.end_session({})
 
     def test_double_begin_rejected(self, scenario):
         scenario.begin()
         with pytest.raises(RuntimeError):
-            scenario.vwitness.begin_session(scenario.vspec)
+            scenario.witness.begin_session(scenario.vspec)
